@@ -6,10 +6,10 @@
 // (`sim.events_per_sec`, `cluster.decision_ns`) introduced with the
 // indexed executors. At n=1024 it additionally measures a pre-PR-
 // equivalent baseline in-process — Libra with the original full-scan
-// best-fit selection on a heap-pinned event queue — and asserts the two
-// implementations produce bit-identical run digests before reporting the
-// speedup. A micro section re-measures raw EventQueue push/pop throughput
-// next to the pre-PR numbers recorded in bench_micro_kernel's history.
+// best-fit selection — and asserts the two implementations produce
+// bit-identical run digests before reporting the speedup. A micro section
+// re-measures raw EventQueue push/pop throughput next to the pre-PR
+// numbers recorded in bench_micro_kernel's history.
 //
 // Writes <out>/BENCH_kernel_scaling.json. Environment knobs, on top of
 // the usual REPRO_OUT / REPRO_JOBS:
@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "policy/libra.hpp"
 #include "service/computing_service.hpp"
@@ -156,23 +157,14 @@ double find_gauge(const obs::MetricSnapshot& snap, const std::string& name) {
 
 RunResult run_once(const std::vector<workload::Job>& jobs,
                    const service::PolicyFactory& factory, std::uint32_t nodes,
-                   bool pin_heap, const std::string& label,
-                   bool with_registry = true) {
+                   const std::string& label, bool with_registry = true) {
   obs::MetricsRegistry registry;
   policy::PolicyContext context;
   context.machine.node_count = nodes;
   context.model = economy::EconomicModel::BidBased;
   context.metrics = with_registry ? &registry : nullptr;
-  service::PolicyFactory wrapped = factory;
-  if (pin_heap) {
-    wrapped = [&factory](const policy::PolicyContext& ctx,
-                         policy::PolicyHost& host) {
-      ctx.simulator->pin_heap_event_queue();
-      return factory(ctx, host);
-    };
-  }
   const auto start = Clock::now();
-  const auto report = service::simulate(jobs, wrapped, context);
+  const auto report = service::simulate(jobs, factory, context);
   const double wall =
       std::chrono::duration<double>(Clock::now() - start).count();
   const auto snap = registry.snapshot();
@@ -225,40 +217,39 @@ std::vector<std::uint32_t> node_counts_from_env() {
   return nodes;
 }
 
-struct MicroResult {
-  std::size_t n = 0;
-  double heap_items_per_sec = 0.0;
-  double calendar_items_per_sec = 0.0;
-};
-
-/// Raw push-all-then-pop-all EventQueue throughput, same shape as
-/// bench_micro_kernel's BM_EventQueuePushPop.
-MicroResult micro_queue(std::size_t n, int iters) {
+/// Raw push-all-then-pop-all EventQueue throughput (items/s), same shape
+/// as bench_micro_kernel's BM_EventQueuePushPop.
+double micro_queue(std::size_t n, int iters) {
   sim::Rng rng(1);
   std::vector<double> times(n);
   for (auto& t : times) t = rng.uniform(0.0, 1e6);
-  MicroResult result;
-  result.n = n;
-  for (int mode = 0; mode < 2; ++mode) {
-    double seconds = 0.0;
-    for (int it = -2; it < iters; ++it) {  // two warmup rounds
-      sim::EventQueue queue;
-      if (mode == 0) queue.force_heap_mode();
-      const auto t0 = Clock::now();
-      for (double t : times) queue.push(t, [] {});
-      while (auto rec = queue.pop()) {
-        if (rec->time < 0.0) return result;  // defeat dead-code elimination
-      }
-      if (it >= 0) {
-        seconds += std::chrono::duration<double>(Clock::now() - t0).count();
-      }
+  double seconds = 0.0;
+  for (int it = -2; it < iters; ++it) {  // two warmup rounds
+    sim::EventQueue queue;
+    const auto t0 = Clock::now();
+    for (double t : times) queue.push(t, [] {});
+    while (auto rec = queue.pop()) {
+      if (rec->time < 0.0) return 0.0;  // defeat dead-code elimination
     }
-    const double items_per_sec =
-        static_cast<double>(n) * iters / (seconds > 0.0 ? seconds : 1e-9);
-    (mode == 0 ? result.heap_items_per_sec : result.calendar_items_per_sec) =
-        items_per_sec;
+    if (it >= 0) {
+      seconds += std::chrono::duration<double>(Clock::now() - t0).count();
+    }
   }
-  return result;
+  return static_cast<double>(n) * iters / (seconds > 0.0 ? seconds : 1e-9);
+}
+
+obs::json::Value to_json(const RunResult& r) {
+  return obs::json::Object{
+      {"nodes", static_cast<std::uint64_t>(r.nodes)},
+      {"policy", r.policy},
+      {"jobs", static_cast<std::uint64_t>(r.jobs)},
+      {"events", r.events},
+      {"wall_s", r.wall_s},
+      {"events_per_sec", r.events_per_sec},
+      {"decision_ns", r.decision_ns},
+      {"utilization", r.utilization},
+      {"fulfilled", r.fulfilled},
+      {"digest", r.digest}};
 }
 
 }  // namespace
@@ -289,13 +280,13 @@ int main() {
     const auto jobs = builder.build(workload::QosConfig{}, 0.25, 100.0);
 
     const auto fcfs = run_once(
-        jobs, service::factory_for(policy::PolicyKind::FcfsBf), n, false,
+        jobs, service::factory_for(policy::PolicyKind::FcfsBf), n,
         "FCFS-BF");
     print_result(fcfs);
     scaling.push_back(fcfs);
 
     const auto libra = run_once(
-        jobs, service::factory_for(policy::PolicyKind::Libra), n, false,
+        jobs, service::factory_for(policy::PolicyKind::Libra), n,
         "Libra");
     print_result(libra);
     scaling.push_back(libra);
@@ -306,15 +297,14 @@ int main() {
       //       pre-PR baseline constants were measured (events / simulate
       //       wall), with the digests pinned to the values the pre-PR
       //       binary produced;
-      //  3.   Libra with the pre-PR node selection (full scan + sort) on
-      //       a heap-pinned event queue, in-process — isolates the
-      //       selection + queue share of the win and proves placement
-      //       equivalence at runtime.
+      //  3.   Libra with the pre-PR node selection (full scan + sort),
+      //       in-process — isolates the selection share of the win and
+      //       proves placement equivalence at runtime.
       fcfs_now_1024 = run_once(
-          jobs, service::factory_for(policy::PolicyKind::FcfsBf), n, false,
+          jobs, service::factory_for(policy::PolicyKind::FcfsBf), n,
           "FCFS-BF (no registry)", false);
       libra_now_1024 = run_once(
-          jobs, service::factory_for(policy::PolicyKind::Libra), n, false,
+          jobs, service::factory_for(policy::PolicyKind::Libra), n,
           "Libra (no registry)", false);
       print_result(fcfs_now_1024);
       print_result(libra_now_1024);
@@ -339,7 +329,7 @@ int main() {
           [](const policy::PolicyContext& ctx, policy::PolicyHost& host) {
             return std::make_unique<NaiveLibraPolicy>(ctx, host);
           };
-      baseline = run_once(jobs, naive, n, true, "Libra(naive+heap)", false);
+      baseline = run_once(jobs, naive, n, "Libra(naive+heap)", false);
       print_result(baseline);
       if (baseline.digest != libra.digest) {
         std::fprintf(stderr,
@@ -350,80 +340,58 @@ int main() {
       if (baseline.events_per_sec > 0.0) {
         speedup_vs_naive_1024 =
             libra_now_1024.events_per_sec / baseline.events_per_sec;
-        std::printf("n=1024 indexed+calendar vs naive+heap: %.2fx\n",
+        std::printf("n=1024 indexed vs naive+heap: %.2fx\n",
                     speedup_vs_naive_1024);
       }
     }
   }
 
-  const MicroResult micro_1k = micro_queue(1024, 400);
-  const MicroResult micro_16k = micro_queue(16384, 40);
-  std::printf("micro n=1024  heap %.2f M/s  calendar %.2f M/s\n",
-              micro_1k.heap_items_per_sec / 1e6,
-              micro_1k.calendar_items_per_sec / 1e6);
-  std::printf("micro n=16384 heap %.2f M/s  calendar %.2f M/s\n",
-              micro_16k.heap_items_per_sec / 1e6,
-              micro_16k.calendar_items_per_sec / 1e6);
+  const double micro_1k = micro_queue(1024, 400);
+  const double micro_16k = micro_queue(16384, 40);
+  std::printf("micro n=1024  heap %.2f M/s\n", micro_1k / 1e6);
+  std::printf("micro n=16384 heap %.2f M/s\n", micro_16k / 1e6);
+
+  obs::json::Value out = obs::json::Object{{"bench", "kernel_scaling"}};
+  obs::json::Array rows;
+  for (const RunResult& r : scaling) rows.push_back(to_json(r));
+  out.set("scaling", std::move(rows));
+  if (!baseline.policy.empty()) {
+    out.set("pre_pr_n1024",
+            obs::json::Object{
+                {"commit", kPrePrCommit},
+                {"method",
+                 "same scenario and machine, pre-PR Release build, wall "
+                 "clock around simulate(), no metrics registry, median of "
+                 "3 alternated runs; run digests bit-identical to the "
+                 "current build"},
+                {"fcfs_bf_events_per_sec", kPrePrFcfsEventsPerSec1024},
+                {"libra_events_per_sec", kPrePrLibraEventsPerSec1024}});
+    out.set("current_n1024_same_method",
+            obs::json::Object{
+                {"fcfs_bf_events_per_sec", fcfs_now_1024.events_per_sec},
+                {"libra_events_per_sec", libra_now_1024.events_per_sec}});
+    out.set("speedup_vs_pre_pr_n1024",
+            obs::json::Object{{"fcfs_bf", speedup_fcfs_1024},
+                              {"libra", speedup_libra_1024}});
+    out.set("baseline_naive_heap_n1024",
+            obs::json::Object{{"policy", baseline.policy},
+                              {"events_per_sec", baseline.events_per_sec},
+                              {"wall_s", baseline.wall_s},
+                              {"digest", baseline.digest},
+                              {"digest_matches_indexed", true}});
+    out.set("speedup_vs_naive_heap_n1024", speedup_vs_naive_1024);
+  }
+  out.set("micro_event_queue",
+          obs::json::Object{
+              {"pre_pr_heap_items_per_sec_n1024", kPrePrMicroItemsPerSec1024},
+              {"pre_pr_heap_items_per_sec_n16384",
+               kPrePrMicroItemsPerSec16384},
+              {"heap_items_per_sec_n1024", micro_1k},
+              {"heap_items_per_sec_n16384", micro_16k}});
 
   const std::string path = env.out_dir + "/BENCH_kernel_scaling.json";
   std::ofstream json(path);
-  json.precision(6);
-  json << "{\n"
-       << "  \"bench\": \"kernel_scaling\",\n"
-       << "  \"scaling\": [\n";
-  for (std::size_t i = 0; i < scaling.size(); ++i) {
-    const RunResult& r = scaling[i];
-    json << "    {\"nodes\": " << r.nodes << ", \"policy\": \"" << r.policy
-         << "\", \"jobs\": " << r.jobs << ", \"events\": " << r.events
-         << ", \"wall_s\": " << r.wall_s
-         << ", \"events_per_sec\": " << r.events_per_sec
-         << ", \"decision_ns\": " << r.decision_ns
-         << ", \"utilization\": " << r.utilization
-         << ", \"fulfilled\": " << r.fulfilled << ", \"digest\": \""
-         << r.digest << "\"}" << (i + 1 < scaling.size() ? "," : "")
-         << "\n";
-  }
-  json << "  ],\n";
-  if (!baseline.policy.empty()) {
-    json << "  \"pre_pr_n1024\": {\n"
-         << "    \"commit\": \"" << kPrePrCommit << "\",\n"
-         << "    \"method\": \"same scenario and machine, pre-PR Release "
-            "build, wall clock around simulate(), no metrics registry, "
-            "median of 3 alternated runs; run digests bit-identical to "
-            "the current build\",\n"
-         << "    \"fcfs_bf_events_per_sec\": " << kPrePrFcfsEventsPerSec1024
-         << ",\n"
-         << "    \"libra_events_per_sec\": " << kPrePrLibraEventsPerSec1024
-         << "\n  },\n"
-         << "  \"current_n1024_same_method\": {\"fcfs_bf_events_per_sec\": "
-         << fcfs_now_1024.events_per_sec << ", \"libra_events_per_sec\": "
-         << libra_now_1024.events_per_sec << "},\n"
-         << "  \"speedup_vs_pre_pr_n1024\": {\"fcfs_bf\": "
-         << speedup_fcfs_1024 << ", \"libra\": " << speedup_libra_1024
-         << "},\n"
-         << "  \"baseline_naive_heap_n1024\": {\"policy\": \""
-         << baseline.policy
-         << "\", \"events_per_sec\": " << baseline.events_per_sec
-         << ", \"wall_s\": " << baseline.wall_s << ", \"digest\": \""
-         << baseline.digest << "\", \"digest_matches_indexed\": true},\n"
-         << "  \"speedup_vs_naive_heap_n1024\": " << speedup_vs_naive_1024
-         << ",\n";
-  }
-  json << "  \"micro_event_queue\": {\n"
-       << "    \"pre_pr_heap_items_per_sec_n1024\": "
-       << kPrePrMicroItemsPerSec1024 << ",\n"
-       << "    \"pre_pr_heap_items_per_sec_n16384\": "
-       << kPrePrMicroItemsPerSec16384 << ",\n"
-       << "    \"heap_items_per_sec_n1024\": " << micro_1k.heap_items_per_sec
-       << ",\n"
-       << "    \"calendar_items_per_sec_n1024\": "
-       << micro_1k.calendar_items_per_sec << ",\n"
-       << "    \"heap_items_per_sec_n16384\": "
-       << micro_16k.heap_items_per_sec << ",\n"
-       << "    \"calendar_items_per_sec_n16384\": "
-       << micro_16k.calendar_items_per_sec << "\n"
-       << "  }\n"
-       << "}\n";
+  out.dump(json);
   std::printf("wrote %s\n", path.c_str());
   return 0;
 }

@@ -22,6 +22,9 @@
 #   mix-shift stream journals its live policy switches ("sw" records).
 #   Graceful recovery must replay them into the byte-identical session
 #   digest, and a kill -9'd server must still recover and keep serving.
+# Phase 6 — SIGTERM at startup: signal the server the instant its socket
+#   appears, repeatedly. It must drain ("[draining]") and exit 0 every
+#   time, never die on the default signal action.
 #
 # Env: UTILRISK (binary, default ./build/tools/utilrisk),
 #      SMOKE_OUT (artefact dir, default smoke_out).
@@ -208,5 +211,24 @@ echo "replayed after advise-auto kill -9: ${replayed:-none}"
   "${MIX_FLAGS[@]}" --manifest-dir "" > "$OUT/loadgen_advise_after.txt" \
   || fail "recovered advise-auto server dropped responses"
 stop_server
+
+echo "== phase 6: SIGTERM the moment the socket appears =="
+for round in $(seq 1 20); do
+  rm -f "$SOCK"
+  log="$OUT/serve_sigterm_startup.txt"
+  "$UTILRISK" serve --socket "$SOCK" --manifest-dir "" > "$log" 2>&1 &
+  SERVER=$!
+  # Busy-wait (no sleep) so the signal lands as close to bind as we can.
+  until [ -S "$SOCK" ]; do
+    kill -0 "$SERVER" 2>/dev/null || { cat "$log"; fail "server died on startup"; }
+  done
+  kill -TERM "$SERVER"
+  status=0
+  wait "$SERVER" || status=$?
+  SERVER=""
+  [ "$status" -eq 0 ] || { cat "$log"; fail "round $round: exit $status on early SIGTERM"; }
+  grep -q '^\[draining\]' "$log" || { cat "$log"; fail "round $round: no [draining]"; }
+done
+echo "early SIGTERM drained cleanly in ${round} round(s)"
 
 echo "crash-recovery smoke: all phases passed"

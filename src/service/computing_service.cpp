@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "economy/penalty.hpp"
 #include "obs/metrics.hpp"
@@ -75,20 +77,60 @@ ComputingService::ComputingService(sim::Simulator& simulator,
 }
 
 void ComputingService::submit_all(const std::vector<workload::Job>& jobs) {
+  const sim::SimTime earliest = now();
+  for (const workload::Job& job : jobs) {
+    if (job.submit_time < earliest - sim::kTimeEpsilon) {
+      throw sim::SchedulingError(
+          "ComputingService::submit_all: job " + std::to_string(job.id) +
+          " submits in the past (t=" + std::to_string(job.submit_time) +
+          ", now=" + std::to_string(earliest) + ")");
+    }
+    if (!std::isfinite(job.submit_time)) {
+      throw std::invalid_argument("ComputingService::submit_all: job " +
+                                  std::to_string(job.id) +
+                                  " has a non-finite submit time");
+    }
+  }
   expected_jobs_ += jobs.size();
   // Arm only while settlements are outstanding: an injector with no jobs
   // to fail would keep the event queue alive forever.
   if (injector_ && terminal_jobs_ < expected_jobs_) injector_->arm();
-  for (const workload::Job& job : jobs) {
-    at(job.submit_time, [this, job] {
-      metrics_.record_submitted(job, now());
-      if (submitted_metric_ != nullptr) submitted_metric_->inc();
-      UTILRISK_ELOG(sim::LogLevel::Debug, "submit job " << job.id << " procs=" << job.procs
-                                 << " est=" << job.estimated_runtime
-                                 << " deadline=" << job.deadline_duration);
-      run_admission(job);
-    });
-  }
+  if (jobs.empty()) return;
+  // Reserve the block of sequence numbers that scheduling every arrival
+  // now would have used. Every other event's number lies outside the
+  // block and only one arrival of the block is ever pending, so handing
+  // the numbers out in dispatch order, (time, input index), reproduces
+  // the eager (time, seq) order exactly. A time within kTimeEpsilon
+  // before now fires now (schedule_at snaps it), so it sorts as now.
+  ArrivalStream& stream = streams_.emplace_back();
+  stream.jobs = jobs;
+  std::stable_sort(
+      stream.jobs.begin(), stream.jobs.end(),
+      [earliest](const workload::Job& a, const workload::Job& b) {
+        return std::max(a.submit_time, earliest) <
+               std::max(b.submit_time, earliest);
+      });
+  stream.first_seq = simulator().reserve_sequence(jobs.size());
+  schedule_arrival(std::prev(streams_.end()));
+}
+
+void ComputingService::schedule_arrival(ArrivalStreams::iterator stream) {
+  simulator().schedule_at(stream->jobs[stream->next].submit_time,
+                          stream->first_seq + stream->next,
+                          [this, stream] { arrive(stream); });
+}
+
+void ComputingService::arrive(ArrivalStreams::iterator stream) {
+  const workload::Job& job = stream->jobs[stream->next++];
+  const bool last = stream->next == stream->jobs.size();
+  if (!last) schedule_arrival(stream);
+  metrics_.record_submitted(job, now());
+  if (submitted_metric_ != nullptr) submitted_metric_->inc();
+  UTILRISK_ELOG(sim::LogLevel::Debug, "submit job " << job.id << " procs=" << job.procs
+                             << " est=" << job.estimated_runtime
+                             << " deadline=" << job.deadline_duration);
+  run_admission(job);
+  if (last) streams_.erase(stream);
 }
 
 void ComputingService::run_admission(const workload::Job& job) {

@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <list>
 #include <map>
 #include <memory>
 #include <vector>
@@ -39,9 +40,12 @@ class ComputingService : public sim::Entity, public policy::PolicyHost {
   ComputingService(sim::Simulator& simulator, const PolicyFactory& factory,
                    const policy::PolicyContext& context);
 
-  /// Schedules submission events for every job (jobs need not be sorted;
-  /// each fires at its own submit_time, which must be >= the current
-  /// simulation time).
+  /// Submits every job at its own submit_time (jobs need not be sorted).
+  /// Arrivals are streamed: the call keeps one pending arrival event and
+  /// each arrival schedules the next, under sequence numbers reserved up
+  /// front, so dispatch order equals scheduling every arrival eagerly.
+  /// Throws sim::SchedulingError, before submitting anything, if a
+  /// submit_time lies in the past (std::invalid_argument if not finite).
   void submit_all(const std::vector<workload::Job>& jobs);
 
   [[nodiscard]] const MetricsCollector& metrics() const { return metrics_; }
@@ -67,6 +71,20 @@ class ComputingService : public sim::Entity, public policy::PolicyHost {
                      double completed_work) override;
 
  private:
+  /// One submit_all batch: its jobs in dispatch order, (arrival time,
+  /// input index), and the first of the sequence numbers reserved for
+  /// them. Only the arrival of jobs[next] is pending in the kernel.
+  struct ArrivalStream {
+    std::vector<workload::Job> jobs;
+    sim::EventSequence first_seq = 0;
+    std::size_t next = 0;
+  };
+  using ArrivalStreams = std::list<ArrivalStream>;
+
+  /// Schedules the arrival of stream->jobs[stream->next].
+  void schedule_arrival(ArrivalStreams::iterator stream);
+  /// Fires that arrival: schedules the next one, then runs admission.
+  void arrive(ArrivalStreams::iterator stream);
   /// Bounded retry with exponential backoff; falls through to
   /// settle_outage when the budget or the deadline is exhausted.
   void handle_failed_attempt(const workload::Job& attempt,
@@ -85,6 +103,8 @@ class ComputingService : public sim::Entity, public policy::PolicyHost {
   MetricsCollector metrics_;
   std::unique_ptr<policy::Policy> policy_;
   std::unique_ptr<cluster::FailureInjector> injector_;
+  /// Batches with arrivals still to fire (list: iterators stay valid).
+  ArrivalStreams streams_;
   /// Resubmissions consumed per job (present only for jobs that absorbed
   /// at least one outage — also how notify_rejected tells a retry attempt
   /// from a fresh submission).

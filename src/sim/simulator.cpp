@@ -17,7 +17,7 @@ void Simulator::set_metrics(obs::MetricsRegistry* registry) {
       obs::gauge_or_null(registry, "sim.events_per_sec");
 }
 
-EventHandle Simulator::schedule_at(SimTime time, EventAction action) {
+SimTime Simulator::admissible(SimTime time) const {
   if (time < now_ - kTimeEpsilon) {
     throw SchedulingError("Simulator::schedule_at: event in the past (t=" +
                           std::to_string(time) +
@@ -25,12 +25,26 @@ EventHandle Simulator::schedule_at(SimTime time, EventAction action) {
   }
   // Snap barely-in-the-past times (floating point slop from rate
   // integration) to "now" so they still fire.
-  if (time < now_) time = now_;
-  auto handle = queue_.push(time, std::move(action));
+  return time < now_ ? now_ : time;
+}
+
+void Simulator::note_scheduled() {
   if (scheduled_metric_ != nullptr) scheduled_metric_->inc();
   if (queue_depth_metric_ != nullptr) {
     queue_depth_metric_->set(static_cast<double>(queue_.size()));
   }
+}
+
+EventHandle Simulator::schedule_at(SimTime time, EventAction action) {
+  auto handle = queue_.push(admissible(time), std::move(action));
+  note_scheduled();
+  return handle;
+}
+
+EventHandle Simulator::schedule_at(SimTime time, EventSequence seq,
+                                   EventAction action) {
+  auto handle = queue_.push(admissible(time), seq, std::move(action));
+  note_scheduled();
   return handle;
 }
 

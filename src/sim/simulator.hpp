@@ -53,6 +53,18 @@ class Simulator {
   /// Schedules `action` at absolute time `time` (>= now()).
   EventHandle schedule_at(SimTime time, EventAction action);
 
+  /// Reserves `n` consecutive sequence numbers and returns the first.
+  /// Producers that stream a known batch of events (one pending at a
+  /// time) reserve the block the batch would have used if every event
+  /// had been scheduled up front, then schedule each event under its
+  /// reserved number: dispatch order is identical to the eager schedule.
+  EventSequence reserve_sequence(std::size_t n) { return queue_.reserve(n); }
+
+  /// Schedules `action` at `time` (>= now()) under sequence number `seq`,
+  /// which must come from reserve_sequence() and be used at most once.
+  EventHandle schedule_at(SimTime time, EventSequence seq,
+                          EventAction action);
+
   /// Schedules `action` after `delay` seconds (>= 0).
   EventHandle schedule_in(SimTime delay, EventAction action);
 
@@ -82,15 +94,9 @@ class Simulator {
   /// Timestamp of the next pending event (kTimeNever when none).
   [[nodiscard]] SimTime next_event_time() const { return queue_.next_time(); }
 
-  /// Per-simulator trace logger (replaces the TraceLog singleton).
+  /// Per-simulator trace logger.
   [[nodiscard]] Logger& logger() { return logger_; }
   [[nodiscard]] const Logger& logger() const { return logger_; }
-
-  /// Pins the event queue to the binary heap regardless of its size.
-  /// Benchmarks use this to measure the pre-calendar kernel baseline;
-  /// tests use it to compare structures. Call before the first event is
-  /// scheduled (see EventQueue::force_heap_mode).
-  void pin_heap_event_queue() { queue_.force_heap_mode(); }
 
   /// Attaches (or detaches, with nullptr) a metrics registry. The kernel
   /// resolves its instruments once here — `sim.events_scheduled`,
@@ -102,6 +108,10 @@ class Simulator {
   void set_metrics(obs::MetricsRegistry* registry);
 
  private:
+  /// Rejects a time in the past; snaps floating-point slop to now().
+  [[nodiscard]] SimTime admissible(SimTime time) const;
+  void note_scheduled();
+
   EventQueue queue_;
   SimTime now_ = 0.0;
   std::uint64_t dispatched_ = 0;

@@ -1,8 +1,8 @@
 // Property tests for the O(log n) kernel indexes: every indexed structure
-// (free-node bitmap, finish index, share index, calendar event queue) is
-// checked against a naive O(n) reference model under seeded random
-// operation sequences. The indexes exist purely for speed — any observable
-// divergence from the naive answer is a determinism bug.
+// (free-node bitmap, finish index, share index) is checked against a
+// naive O(n) reference model under seeded random operation sequences. The
+// indexes exist purely for speed — any observable divergence from the
+// naive answer is a determinism bug.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,7 +15,6 @@
 #include "cluster/free_index.hpp"
 #include "cluster/space_shared.hpp"
 #include "cluster/time_shared.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
 
@@ -155,10 +154,11 @@ struct NaiveSpaceModel {
     for (auto& [job, run] : running) {
       if (std::find(run.nodes.begin(), run.nodes.end(), id) !=
           run.nodes.end()) {
+        const workload::JobId killed = job;  // erase frees the key
         release(run);
         free.erase(id);  // the dead node stays out of the pool
-        running.erase(job);
-        return job;
+        running.erase(killed);
+        return killed;
       }
     }
     return std::nullopt;
@@ -396,101 +396,3 @@ TEST(TimeSharedPropertyTest, RejectsDuplicateNodeIds) {
 
 }  // namespace
 }  // namespace utilrisk::cluster
-
-// ------------------------------------------- EventQueue calendar-heap parity
-
-namespace utilrisk::sim {
-namespace {
-
-/// Drives two queues — one pinned to the heap, one free to migrate to the
-/// calendar — through an identical operation sequence and asserts the pop
-/// streams are identical (time AND sequence number: the full total order).
-void expect_identical_pop_streams(std::uint64_t seed, int pushes,
-                                  double lo, double hi,
-                                  double outlier_probability) {
-  EventQueue heap_queue;
-  heap_queue.force_heap_mode();
-  EventQueue calendar_queue;
-  Rng rng(seed);
-
-  std::vector<EventHandle> heap_handles;
-  std::vector<EventHandle> calendar_handles;
-  int pushed = 0;
-  bool saw_calendar = false;
-  while (pushed < pushes || !calendar_queue.empty()) {
-    const double roll = rng.uniform01();
-    if (pushed < pushes && roll < 0.55) {
-      double t = rng.uniform(lo, hi);
-      if (outlier_probability > 0.0 && rng.bernoulli(outlier_probability)) {
-        t *= 1e6;  // far outlier: stresses bucket-width adaptation
-      }
-      heap_handles.push_back(heap_queue.push(t, [] {}));
-      calendar_handles.push_back(calendar_queue.push(t, [] {}));
-      ++pushed;
-    } else if (roll < 0.65 && !heap_handles.empty()) {
-      // Cancel the same (random) pending event in both queues.
-      const std::size_t pick = rng.uniform_int(0, heap_handles.size() - 1);
-      const bool a = heap_handles[pick].cancel();
-      const bool b = calendar_handles[pick].cancel();
-      ASSERT_EQ(a, b);
-    } else {
-      const auto a = heap_queue.pop();
-      const auto b = calendar_queue.pop();
-      ASSERT_EQ(a.has_value(), b.has_value());
-      if (a) {
-        ASSERT_DOUBLE_EQ(a->time, b->time);
-        ASSERT_EQ(a->seq, b->seq);
-      }
-    }
-    ASSERT_EQ(heap_queue.size(), calendar_queue.size());
-    ASSERT_DOUBLE_EQ(heap_queue.next_time(), calendar_queue.next_time());
-    saw_calendar = saw_calendar || calendar_queue.calendar_active();
-  }
-  EXPECT_TRUE(saw_calendar)
-      << "sequence never grew past kCalendarEnter; widen the push count";
-  EXPECT_FALSE(calendar_queue.calendar_active())
-      << "draining to empty must fall back to the heap";
-}
-
-TEST(CalendarQueuePropertyTest, UniformTimesMatchHeapOrder) {
-  expect_identical_pop_streams(/*seed=*/1, /*pushes=*/4000, 0.0, 1000.0,
-                               /*outlier_probability=*/0.0);
-}
-
-TEST(CalendarQueuePropertyTest, ClusteredTimesWithOutliersMatchHeapOrder) {
-  // Tight cluster + rare million-fold outliers: the insert path detects
-  // overlong buckets and rebuilds with a fresh width (the adaptation
-  // cooldown path), which must not perturb pop order.
-  expect_identical_pop_streams(/*seed=*/2, /*pushes=*/3000, 0.0, 1.0,
-                               /*outlier_probability=*/0.01);
-}
-
-TEST(CalendarQueuePropertyTest, TiedTimesPreserveFifoAcrossModes) {
-  EventQueue heap_queue;
-  heap_queue.force_heap_mode();
-  EventQueue calendar_queue;
-  // All-identical timestamps: bucket sorting degenerates to the sequence
-  // tiebreak, and the (time, seq) FIFO contract must survive the
-  // heap->calendar migration mid-stream.
-  for (int i = 0; i < 2000; ++i) {
-    heap_queue.push(42.0, [] {});
-    calendar_queue.push(42.0, [] {});
-  }
-  EXPECT_TRUE(calendar_queue.calendar_active());
-  EventSequence prev = 0;
-  bool first = true;
-  while (auto a = heap_queue.pop()) {
-    const auto b = calendar_queue.pop();
-    ASSERT_TRUE(b.has_value());
-    ASSERT_EQ(a->seq, b->seq);
-    if (!first) {
-      ASSERT_GT(a->seq, prev) << "FIFO within equal times";
-    }
-    prev = a->seq;
-    first = false;
-  }
-  EXPECT_FALSE(calendar_queue.pop().has_value());
-}
-
-}  // namespace
-}  // namespace utilrisk::sim

@@ -4,8 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <functional>
+#include <memory>
+#include <string_view>
+#include <tuple>
+#include <vector>
 
 #include "service/computing_service.hpp"
+#include "sim/rng.hpp"
 #include "workload/workload.hpp"
 
 namespace utilrisk::service {
@@ -161,6 +167,173 @@ TEST(SimulateTest, DeterministicAcrossRuns) {
   EXPECT_EQ(a.inputs.fulfilled, b.inputs.fulfilled);
   EXPECT_DOUBLE_EQ(a.inputs.total_utility, b.inputs.total_utility);
   EXPECT_EQ(a.events_dispatched, b.events_dispatched);
+}
+
+// --------------------------------------------------------- Streamed arrivals
+//
+// submit_all keeps one pending arrival per call. The contract is that the
+// dispatch order is exactly the one an eager schedule of every arrival
+// produces; these tests build that eager reference on a second Simulator
+// and compare the two event logs entry by entry.
+
+/// (clock, 'a'rrival or 'c'ompletion, job id) per dispatched event.
+using EventLog = std::vector<std::tuple<sim::SimTime, char, workload::JobId>>;
+
+/// Shared by both worlds: log the arrival, then run the job for its
+/// actual runtime from this instant (completions tie with arrivals
+/// whenever the arithmetic lands on the same instant).
+void arrive_and_run(sim::Simulator& simk, EventLog& log,
+                    const workload::Job& job,
+                    std::function<void()> on_finish = {}) {
+  log.emplace_back(simk.now(), 'a', job.id);
+  simk.schedule_in(job.actual_runtime,
+                   [&simk, &log, id = job.id, on_finish = std::move(on_finish)] {
+                     log.emplace_back(simk.now(), 'c', id);
+                     if (on_finish) on_finish();
+                   });
+}
+
+/// Starts every job on arrival through arrive_and_run.
+class LoggingPolicy : public policy::Policy {
+ public:
+  LoggingPolicy(const policy::PolicyContext& context,
+                policy::PolicyHost& host, EventLog& log)
+      : Policy(context, host), log_(&log) {}
+
+  void on_submit(const workload::Job& job) override {
+    host().notify_accepted(job, 0.0);
+    host().notify_started(job);
+    arrive_and_run(simulator(), *log_, job, [this, job] {
+      host().notify_finished(job, simulator().now());
+    });
+  }
+  [[nodiscard]] std::string_view name() const override { return "Logging"; }
+
+ private:
+  EventLog* log_;
+};
+
+/// Streams `first` through a ComputingService, runs to `pause`, streams
+/// `second`, then runs to quiescence.
+EventLog streamed_log(const std::vector<workload::Job>& first,
+                      const std::vector<workload::Job>& second,
+                      sim::SimTime pause) {
+  EventLog log;
+  sim::Simulator simk;
+  policy::PolicyContext context;
+  context.simulator = &simk;
+  ComputingService svc(
+      simk,
+      [&log](const policy::PolicyContext& ctx, policy::PolicyHost& host) {
+        return std::make_unique<LoggingPolicy>(ctx, host, log);
+      },
+      context);
+  svc.submit_all(first);
+  simk.run(pause);
+  svc.submit_all(second);
+  simk.run();
+  EXPECT_EQ(svc.metrics().unfinished_count(), 0u);
+  return log;
+}
+
+/// The same scenario with every arrival pushed into the kernel up front.
+EventLog eager_log(const std::vector<workload::Job>& first,
+                   const std::vector<workload::Job>& second,
+                   sim::SimTime pause) {
+  EventLog log;
+  sim::Simulator simk;
+  const auto push_all = [&](const std::vector<workload::Job>& jobs) {
+    for (const workload::Job& job : jobs) {
+      simk.schedule_at(job.submit_time,
+                       [&simk, &log, job] { arrive_and_run(simk, log, job); });
+    }
+  };
+  push_all(first);
+  simk.run(pause);
+  push_all(second);
+  simk.run();
+  return log;
+}
+
+TEST(StreamedArrivalTest, UnsortedTiedInputMatchesEagerOrder) {
+  // Unsorted, with tied submit times; job 5 (t=0, 10 s) completes at the
+  // very instant jobs 2 and 4 arrive, job 2 (t=10, 10 s) as 3 and 6 do.
+  const std::vector<workload::Job> jobs = {
+      make_job(1, 30.0, 1, 5.0, 5.0, 1.0),
+      make_job(2, 10.0, 1, 10.0, 5.0, 1.0),
+      make_job(3, 20.0, 1, 10.0, 5.0, 1.0),
+      make_job(4, 10.0, 1, 20.0, 5.0, 1.0),
+      make_job(5, 0.0, 1, 10.0, 5.0, 1.0),
+      make_job(6, 20.0, 1, 10.0, 5.0, 1.0),
+      make_job(7, 0.0, 1, 30.0, 5.0, 1.0),
+  };
+  const EventLog streamed = streamed_log(jobs, {}, sim::kTimeNever);
+  EXPECT_EQ(streamed, eager_log(jobs, {}, sim::kTimeNever));
+  ASSERT_EQ(streamed.size(), 2 * jobs.size());
+  EXPECT_EQ(streamed.front(), std::make_tuple(0.0, 'a', workload::JobId{5}));
+}
+
+TEST(StreamedArrivalTest, RandomTiedArrivalsAndCompletionsMatchEagerOrder) {
+  // Integer submit times and runtimes on a narrow range: nearly every
+  // instant carries several arrivals and completions at once.
+  sim::Rng rng(20261017);
+  std::vector<workload::Job> jobs;
+  for (workload::JobId id = 1; id <= 600; ++id) {
+    jobs.push_back(make_job(id, static_cast<double>(rng.uniform_int(0, 60)),
+                            1, static_cast<double>(rng.uniform_int(0, 12)),
+                            5.0, 1.0));
+  }
+  EXPECT_EQ(streamed_log(jobs, {}, sim::kTimeNever),
+            eager_log(jobs, {}, sim::kTimeNever));
+}
+
+TEST(StreamedArrivalTest, TwoBatchesOnOneSimulatorMatchEagerOrder) {
+  // The second batch is submitted mid-run and interleaves with the
+  // first: each batch orders after everything scheduled before it.
+  std::vector<workload::Job> first;
+  std::vector<workload::Job> second;
+  for (workload::JobId id = 1; id <= 8; ++id) {
+    first.push_back(make_job(id, 10.0 * static_cast<double>(id % 4), 1,
+                             15.0, 5.0, 1.0));
+    second.push_back(make_job(100 + id,
+                              20.0 + 5.0 * static_cast<double>(id % 3), 1,
+                              5.0, 5.0, 1.0));
+  }
+  // A hair before the pause: the kernel snaps it to now, so it must
+  // queue behind the earlier-listed jobs that arrive exactly at t=20.
+  second.push_back(make_job(200, 20.0 - 1e-10, 1, 5.0, 5.0, 1.0));
+  EXPECT_EQ(streamed_log(first, second, 20.0),
+            eager_log(first, second, 20.0));
+}
+
+TEST(StreamedArrivalTest, OnePendingArrivalPerSubmission) {
+  workload::SyntheticSdscConfig trace;
+  trace.job_count = 5000;
+  const auto jobs =
+      workload::WorkloadBuilder(trace).build(workload::QosConfig{}, 1.0, 0.0);
+  ASSERT_EQ(jobs.size(), 5000u);
+  sim::Simulator simk;
+  policy::PolicyContext context;
+  context.simulator = &simk;
+  ComputingService svc(simk, policy::PolicyKind::Libra, context);
+  svc.submit_all(jobs);
+  EXPECT_EQ(simk.pending_events(), 1u);
+}
+
+TEST(StreamedArrivalTest, PastSubmitTimeThrowsBeforeSubmittingAnything) {
+  sim::Simulator simk;
+  policy::PolicyContext context;
+  context.simulator = &simk;
+  ComputingService svc(simk, policy::PolicyKind::Libra, context);
+  simk.schedule_at(100.0, [] {});
+  simk.run();
+  const std::vector<workload::Job> jobs = {
+      make_job(1, 150.0, 1, 10.0, 5.0, 1.0),
+      make_job(2, 50.0, 1, 10.0, 5.0, 1.0),
+  };
+  EXPECT_THROW(svc.submit_all(jobs), sim::SchedulingError);
+  EXPECT_EQ(simk.pending_events(), 0u);
+  EXPECT_EQ(svc.metrics().records().size(), 0u);
 }
 
 // Integration sweep: invariants that must hold for every policy x model on

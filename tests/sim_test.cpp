@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <set>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "sim/distributions.hpp"
@@ -12,7 +14,6 @@
 #include "sim/event_queue.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
-#include "sim/trace_log.hpp"
 
 namespace utilrisk::sim {
 namespace {
@@ -119,6 +120,145 @@ TEST(EventQueueTest, StressManyRandomEvents) {
   }
 }
 
+/// Drives an EventQueue through a seeded random mix of push, cancel and
+/// pop, checking every pop (time AND sequence number: the full total
+/// order), size and next_time against a std::set reference model.
+/// `outlier_probability` scales rare times a million-fold so the heap
+/// also sees a far-future tail.
+void expect_reference_pop_order(std::uint64_t seed, int pushes, double lo,
+                                double hi, double outlier_probability) {
+  EventQueue queue;
+  std::set<std::pair<SimTime, EventSequence>> reference;
+  std::vector<EventHandle> handles;
+  std::vector<std::pair<SimTime, EventSequence>> keys;
+  Rng rng(seed);
+  int pushed = 0;
+  while (pushed < pushes || !queue.empty()) {
+    const double roll = rng.uniform01();
+    if (pushed < pushes && roll < 0.55) {
+      double t = rng.uniform(lo, hi);
+      if (outlier_probability > 0.0 && rng.bernoulli(outlier_probability)) {
+        t *= 1e6;
+      }
+      // Sequence numbers are handed out in push order.
+      const auto key = std::make_pair(t, static_cast<EventSequence>(pushed));
+      reference.insert(key);
+      keys.push_back(key);
+      handles.push_back(queue.push(t, [] {}));
+      ++pushed;
+    } else if (roll < 0.65 && !handles.empty()) {
+      const std::size_t pick = rng.uniform_int(0, handles.size() - 1);
+      const bool cancelled = handles[pick].cancel();
+      ASSERT_EQ(cancelled, reference.erase(keys[pick]) == 1);
+    } else {
+      const auto popped = queue.pop();
+      ASSERT_EQ(popped.has_value(), !reference.empty());
+      if (popped) {
+        const auto expected = *reference.begin();
+        ASSERT_DOUBLE_EQ(popped->time, expected.first);
+        ASSERT_EQ(popped->seq, expected.second);
+        reference.erase(reference.begin());
+      }
+    }
+    ASSERT_EQ(queue.size(), reference.size());
+    ASSERT_DOUBLE_EQ(queue.next_time(), reference.empty()
+                                            ? kTimeNever
+                                            : reference.begin()->first);
+  }
+}
+
+TEST(EventQueueTest, InterleavedOpsMatchReferenceOrder) {
+  expect_reference_pop_order(/*seed=*/1, /*pushes=*/4000, 0.0, 1000.0,
+                             /*outlier_probability=*/0.0);
+}
+
+TEST(EventQueueTest, ClusteredTimesWithOutliersMatchReferenceOrder) {
+  expect_reference_pop_order(/*seed=*/2, /*pushes=*/3000, 0.0, 1.0,
+                             /*outlier_probability=*/0.01);
+}
+
+TEST(EventQueueTest, BulkTombstoneSweepKeepsOrder) {
+  // Cancel nine events in ten: once tombstones outnumber the live events
+  // the next push sweeps them out in one pass and re-heapifies. The pop
+  // order must be exactly the survivors' (time, seq) order.
+  EventQueue queue;
+  Rng rng(3);
+  std::vector<std::pair<SimTime, EventSequence>> survivors;
+  std::vector<EventHandle> doomed;
+  for (EventSequence seq = 0; seq < 1000; ++seq) {
+    const double t = rng.uniform(0.0, 1000.0);
+    auto handle = queue.push(t, [] {});
+    if (seq % 10 == 0) {
+      survivors.emplace_back(t, seq);
+    } else {
+      doomed.push_back(handle);
+    }
+  }
+  for (EventHandle& handle : doomed) ASSERT_TRUE(handle.cancel());
+  queue.push(2000.0, [] {});
+  survivors.emplace_back(2000.0, 1000);
+  std::sort(survivors.begin(), survivors.end());
+  ASSERT_EQ(queue.size(), survivors.size());
+  for (const auto& [time, seq] : survivors) {
+    const auto popped = queue.pop();
+    ASSERT_TRUE(popped.has_value());
+    ASSERT_DOUBLE_EQ(popped->time, time);
+    ASSERT_EQ(popped->seq, seq);
+  }
+  EXPECT_FALSE(queue.pop().has_value());
+}
+
+TEST(EventQueueTest, ReservedSequenceOrdersAsIfPushedAtReservation) {
+  EventQueue queue;
+  std::vector<int> order;
+  queue.push(5.0, [&] { order.push_back(0); });
+  const EventSequence block = queue.reserve(2);
+  queue.push(5.0, [&] { order.push_back(3); });
+  // Pushed last, but carrying reserved numbers: they sort between the
+  // event pushed before the reservation and the one pushed after it.
+  queue.push(5.0, block + 1, [&] { order.push_back(2); });
+  queue.push(5.0, block, [&] { order.push_back(1); });
+  while (auto rec = queue.pop()) rec->action();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_THROW(queue.push(1.0, block + 3, [] {}), std::invalid_argument)
+      << "a number past every reservation was never handed out";
+}
+
+// The suite keeps the name of the calendar queue the binary heap replaced;
+// the "modes" are now the heap's two insertion paths: the plain sift-up and
+// the bulk tombstone sweep that rebuilds the heap in one pass.
+TEST(CalendarQueuePropertyTest, TiedTimesPreserveFifoAcrossModes) {
+  // All-identical timestamps: the order degenerates to the sequence
+  // tiebreak, and the (time, seq) FIFO contract must survive a rebuild
+  // of the heap mid-stream.
+  constexpr EventSequence kTies = 2000;
+  EventQueue queue;
+  std::vector<EventSequence> survivors;
+  std::vector<EventHandle> doomed;
+  for (EventSequence seq = 0; seq < kTies; ++seq) {
+    auto handle = queue.push(42.0, [] {});
+    if (seq % 4 == 0) {
+      survivors.push_back(seq);
+    } else {
+      doomed.push_back(handle);
+    }
+  }
+  for (EventHandle& handle : doomed) ASSERT_TRUE(handle.cancel());
+  // Tombstones now outnumber the live events: the next push sweeps them.
+  for (EventSequence seq = kTies; seq < 2 * kTies; ++seq) {
+    queue.push(42.0, [] {});
+    survivors.push_back(seq);
+  }
+  ASSERT_EQ(queue.size(), survivors.size());
+  for (const EventSequence seq : survivors) {
+    const auto popped = queue.pop();
+    ASSERT_TRUE(popped.has_value());
+    ASSERT_DOUBLE_EQ(popped->time, 42.0);
+    ASSERT_EQ(popped->seq, seq) << "FIFO within equal times";
+  }
+  EXPECT_FALSE(queue.pop().has_value());
+}
+
 // ----------------------------------------------------------------- Simulator
 
 TEST(SimulatorTest, RunsToQuiescence) {
@@ -158,6 +298,8 @@ TEST(SimulatorTest, RejectsSchedulingInThePast) {
   Simulator simk;
   simk.schedule_at(10.0, [&] {
     EXPECT_THROW(simk.schedule_at(5.0, [] {}), SchedulingError);
+    EXPECT_THROW(simk.schedule_at(5.0, simk.reserve_sequence(1), [] {}),
+                 SchedulingError);
   });
   simk.run();
 }
@@ -328,20 +470,6 @@ TEST(LoggerTest, ParseLogLevelRoundTrips) {
   EXPECT_THROW(parse_log_level("verbose"), std::invalid_argument);
   EXPECT_STREQ(to_string(LogLevel::Debug), "debug");
 }
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(TraceLogTest, DeprecatedShimStillForwards) {
-  auto& log = TraceLog::instance();
-  std::ostringstream sink;
-  log.set_sink(&sink);
-  log.set_level(LogLevel::Info);
-  UTILRISK_LOG(LogLevel::Info, 1.5, "unit", "hello " << 42);
-  log.set_level(LogLevel::Off);
-  log.set_sink(&std::cerr);
-  EXPECT_NE(sink.str().find("[INF] t=1.5 unit: hello 42"), std::string::npos);
-}
-#pragma GCC diagnostic pop
 
 // --------------------------------------------------------------- RunningStats
 
