@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "sim/simulator.hpp"
 
@@ -115,22 +116,21 @@ int main() {
             << "  attached, enabled:  " << min_enabled << " s  ("
             << enabled_overhead * 100.0 << " % overhead)\n";
 
+  const obs::json::Value out = obs::json::Object{
+      {"bench", "obs_overhead"},
+      {"events_per_rep", events},
+      {"reps", reps},
+      {"no_registry_seconds", min_none},
+      {"disabled_registry_seconds", min_disabled},
+      {"enabled_registry_seconds", min_enabled},
+      {"disabled_overhead_fraction", disabled_overhead},
+      {"enabled_overhead_fraction", enabled_overhead},
+      {"events_per_second_baseline", events_per_second},
+      {"threshold_fraction", 0.02},
+      {"pass", disabled_overhead < 0.02}};
   const std::string path = env.out_dir + "/BENCH_obs_overhead.json";
   std::ofstream json(path);
-  json.precision(6);
-  json << "{\n"
-       << "  \"bench\": \"obs_overhead\",\n"
-       << "  \"events_per_rep\": " << events << ",\n"
-       << "  \"reps\": " << reps << ",\n"
-       << "  \"no_registry_seconds\": " << min_none << ",\n"
-       << "  \"disabled_registry_seconds\": " << min_disabled << ",\n"
-       << "  \"enabled_registry_seconds\": " << min_enabled << ",\n"
-       << "  \"disabled_overhead_fraction\": " << disabled_overhead << ",\n"
-       << "  \"enabled_overhead_fraction\": " << enabled_overhead << ",\n"
-       << "  \"events_per_second_baseline\": " << events_per_second << ",\n"
-       << "  \"threshold_fraction\": 0.02,\n"
-       << "  \"pass\": " << (disabled_overhead < 0.02 ? "true" : "false")
-       << "\n}\n";
+  out.dump(json);
   std::cout << "[wrote " << path << "]\n";
 
   if (disabled_overhead >= 0.02) {

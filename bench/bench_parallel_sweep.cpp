@@ -1,9 +1,9 @@
-// Serial vs. parallel sweep wall-clock: runs the same fresh
-// (cache-bypassed) Table VI sweep at 1/2/4/hardware_concurrency workers,
-// asserts bit-identity against the serial path, and writes
-// <out>/BENCH_parallel_sweep.json (per-worker-count wall clock, speedup,
-// parallel efficiency, dedup/cache statistics) so the perf trajectory is
-// machine-readable from this PR onward.
+// Sweep wall-clock by worker count: runs the same fresh (cache-bypassed)
+// Table VI sweep at 1/2/4/hardware_concurrency workers, asserts
+// bit-identity against a one-worker reference (every run on the calling
+// thread), and writes <out>/BENCH_parallel_sweep.json (per-worker-count
+// wall clock, speedup, parallel efficiency, dedup/cache statistics) so the
+// perf trajectory is machine-readable.
 //
 // Honours REPRO_JOBS (trace size; keep it small — every worker count
 // re-simulates the whole sweep) and REPRO_JOBS_PAR (top worker count).
@@ -15,6 +15,7 @@
 
 #include "bench_common.hpp"
 #include "exp/parallel.hpp"
+#include "obs/json.hpp"
 #include "verify/golden.hpp"
 
 namespace {
@@ -61,8 +62,8 @@ int main() {
   for (std::size_t w : worker_counts) std::cout << ' ' << w;
   std::cout << "\n";
 
-  // Serial baseline: ExperimentRunner forced onto its serial path with a
-  // fresh in-memory store (cache-bypassed, like every measurement below).
+  // Reference: one worker, every run on the calling thread, with a fresh
+  // in-memory store (cache-bypassed, like every measurement below).
   exp::SweepResult serial_sweep;
   double serial_wall = 0.0;
   {
@@ -71,14 +72,14 @@ int main() {
     const double start = now_seconds();
     serial_sweep = runner.run_sweep(policies);
     serial_wall = now_seconds() - start;
-    std::cout << "  serial reference: " << runner.simulations_run()
+    std::cout << "  one-worker reference: " << runner.simulations_run()
               << " simulations, " << serial_wall << " s\n";
   }
-  // One comparable 64-bit value for the whole sweep; every parallel run
-  // below must reproduce it exactly (a second line of defence beside
+  // One comparable 64-bit value for the whole sweep; every run below must
+  // reproduce it exactly (a second line of defence beside
   // bit_identical, and the value the JSON output exposes to trend tooling).
   const std::uint64_t serial_digest = verify::sweep_digest(serial_sweep);
-  std::cout << "  serial sweep digest: " << verify::to_hex(serial_digest)
+  std::cout << "  reference sweep digest: " << verify::to_hex(serial_digest)
             << "\n";
 
   std::vector<Measurement> runs;
@@ -87,7 +88,7 @@ int main() {
   std::size_t deduped = 0;
   for (std::size_t workers : worker_counts) {
     exp::ResultStore store;
-    exp::ParallelRunner runner(config, &store, workers);
+    exp::ExperimentRunner runner(config, &store, workers);
     const double start = now_seconds();
     const exp::SweepResult sweep = runner.run_sweep(policies);
     Measurement m;
@@ -105,7 +106,7 @@ int main() {
               << " s, speedup " << serial_wall / m.wall_seconds
               << ", efficiency "
               << serial_wall / m.wall_seconds / static_cast<double>(workers)
-              << (m.identical_to_serial ? "" : "  [MISMATCH vs serial!]")
+              << (m.identical_to_serial ? "" : "  [MISMATCH vs reference!]")
               << "\n";
   }
 
@@ -114,8 +115,7 @@ int main() {
   double warm_hit_rate = 0.0;
   {
     exp::ResultStore store;
-    exp::ParallelRunner runner(config, &store,
-                               worker_counts.back());
+    exp::ExperimentRunner runner(config, &store, worker_counts.back());
     (void)runner.run_sweep(policies);
     exp::SweepStats before = runner.stats();
     (void)runner.run_sweep(policies);
@@ -130,47 +130,43 @@ int main() {
     std::cout << "  warm re-run cache hit rate: " << warm_hit_rate << "\n";
   }
 
+  obs::json::Array rows;
+  for (const Measurement& m : runs) {
+    rows.push_back(obs::json::Object{
+        {"workers", m.workers},
+        {"wall_seconds", m.wall_seconds},
+        {"speedup", serial_wall / m.wall_seconds},
+        {"efficiency",
+         serial_wall / m.wall_seconds / static_cast<double>(m.workers)},
+        {"events", m.events},
+        {"simulations", m.simulations},
+        {"bit_identical_to_serial", m.identical_to_serial}});
+  }
+  const obs::json::Value out = obs::json::Object{
+      {"bench", "parallel_sweep"},
+      {"trace_jobs", static_cast<std::uint64_t>(env.jobs)},
+      {"policies", policies.size()},
+      {"matrix_cells", cells},
+      {"unique_runs", unique_runs},
+      {"in_flight_deduped", deduped},
+      {"dedup_rate", cells == 0 ? 0.0
+                                : static_cast<double>(deduped) /
+                                      static_cast<double>(cells)},
+      {"warm_cache_hit_rate", warm_hit_rate},
+      {"sweep_digest", verify::to_hex(serial_digest)},
+      {"hardware_concurrency", exp::default_worker_count()},
+      {"serial_wall_seconds", serial_wall},
+      {"runs", std::move(rows)}};
   const std::string path = env.out_dir + "/BENCH_parallel_sweep.json";
   std::ofstream json(path);
-  json.precision(6);
-  json << "{\n"
-       << "  \"bench\": \"parallel_sweep\",\n"
-       << "  \"trace_jobs\": " << env.jobs << ",\n"
-       << "  \"policies\": " << policies.size() << ",\n"
-       << "  \"matrix_cells\": " << cells << ",\n"
-       << "  \"unique_runs\": " << unique_runs << ",\n"
-       << "  \"in_flight_deduped\": " << deduped << ",\n"
-       << "  \"dedup_rate\": "
-       << (cells == 0 ? 0.0
-                      : static_cast<double>(deduped) /
-                            static_cast<double>(cells))
-       << ",\n"
-       << "  \"warm_cache_hit_rate\": " << warm_hit_rate << ",\n"
-       << "  \"sweep_digest\": \"" << verify::to_hex(serial_digest)
-       << "\",\n"
-       << "  \"hardware_concurrency\": "
-       << exp::default_worker_count() << ",\n"
-       << "  \"serial_wall_seconds\": " << serial_wall << ",\n"
-       << "  \"runs\": [\n";
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    const Measurement& m = runs[i];
-    json << "    {\"workers\": " << m.workers << ", \"wall_seconds\": "
-         << m.wall_seconds << ", \"speedup\": "
-         << serial_wall / m.wall_seconds << ", \"efficiency\": "
-         << serial_wall / m.wall_seconds / static_cast<double>(m.workers)
-         << ", \"events\": " << m.events << ", \"simulations\": "
-         << m.simulations << ", \"bit_identical_to_serial\": "
-         << (m.identical_to_serial ? "true" : "false") << "}"
-         << (i + 1 < runs.size() ? "," : "") << "\n";
-  }
-  json << "  ]\n}\n";
+  out.dump(json);
   std::cout << "[wrote " << path << "]\n";
 
   const bool all_identical =
       std::all_of(runs.begin(), runs.end(),
                   [](const Measurement& m) { return m.identical_to_serial; });
   if (!all_identical) {
-    std::cerr << "FAIL: parallel sweep diverged from the serial path\n";
+    std::cerr << "FAIL: a sweep diverged from the one-worker reference\n";
     return 1;
   }
   return 0;

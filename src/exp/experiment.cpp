@@ -1,11 +1,15 @@
 #include "exp/experiment.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <optional>
 #include <ostream>
 #include <sstream>
+#include <unordered_map>
 
 #include "exp/parallel.hpp"
+#include "obs/metrics.hpp"
+#include "obs/progress.hpp"
 #include "service/computing_service.hpp"
 #include "workload/generator.hpp"
 
@@ -49,6 +53,15 @@ workload::WorkloadBuilder ExperimentConfig::make_builder() const {
   if (workload.empty()) return workload::WorkloadBuilder(trace);
   return workload::WorkloadBuilder(
       workload::generate_jobs(spec_with_defaults(workload, trace)));
+}
+
+std::vector<workload::WorkloadBuilder> ExperimentConfig::make_builders(
+    std::size_t count) const {
+  std::vector<workload::WorkloadBuilder> builders;
+  builders.reserve(std::max<std::size_t>(count, 1));
+  builders.push_back(make_builder());
+  while (builders.size() < count) builders.push_back(builders.front());
+  return builders;
 }
 
 // Cache-key audit note (kept current; last reviewed for `serve --shards`):
@@ -196,9 +209,15 @@ void reduce_scenario(SweepResult& result, std::size_t s,
 ExperimentRunner::ExperimentRunner(ExperimentConfig config, ResultStore* store,
                                    std::size_t workers)
     : config_(std::move(config)),
-      builder_(config_.make_builder()),
-      store_(store != nullptr ? store : &local_store_),
-      workers_(workers == 0 ? default_worker_count() : workers) {}
+      builders_(config_.make_builders(workers == 0 ? default_worker_count()
+                                                   : workers)),
+      store_(store != nullptr ? store : &local_store_) {
+  if (builders_.size() > 1) {
+    pool_ = std::make_unique<ThreadPool>(builders_.size());
+  }
+}
+
+ExperimentRunner::~ExperimentRunner() = default;
 
 core::ObjectiveValues ExperimentRunner::run_one(policy::PolicyKind policy,
                                                 const RunSettings& settings) {
@@ -211,7 +230,7 @@ core::ObjectiveValues ExperimentRunner::run_one(policy::PolicyKind policy,
   const auto start = std::chrono::steady_clock::now();
   std::uint64_t events = 0;
   const core::ObjectiveValues values =
-      simulate_run(config_, builder_, policy, settings, &events);
+      simulate_run(config_, builders_.front(), policy, settings, &events);
   const double elapsed = seconds_since(start);
   ++stats_.simulations;
   stats_.events += events;
@@ -231,45 +250,167 @@ SweepResult ExperimentRunner::run_sweep(
                        policies);
 }
 
+namespace {
+
+/// How one matrix cell obtains its objective values.
+struct CellSource {
+  enum class Kind { FromStore, FromJob } kind = Kind::FromJob;
+  std::size_t index = 0;  ///< into `resolved` or `jobs`
+};
+
+/// One deduplicated simulation to execute (a cache miss).
+struct UniqueJob {
+  std::string key;
+  policy::PolicyKind policy{};
+  RunSettings settings;
+};
+
+}  // namespace
+
 SweepResult ExperimentRunner::run_scenarios(
     const std::vector<Scenario>& scenarios, const RunSettings& defaults,
     const std::vector<policy::PolicyKind>& policies) {
-  if (workers_ > 1) {
-    SweepStats stats;
-    SweepResult result = run_scenarios_parallel(
-        config_, *store_, scenarios, defaults, policies, workers_, &stats);
-    stats_.accumulate(stats);
-    return result;
-  }
-
   SweepResult result;
   result.policies = policies;
   result.scenario_names.reserve(scenarios.size());
   result.raw.resize(scenarios.size());
   result.separate.resize(scenarios.size());
-
   for (std::size_t s = 0; s < scenarios.size(); ++s) {
-    const Scenario& scenario = scenarios[s];
-    result.scenario_names.push_back(scenario.name);
-
-    // Collect raw values: raw[o][p][v].
+    result.scenario_names.push_back(scenarios[s].name);
     for (auto& per_objective : result.raw[s]) {
-      per_objective.assign(policies.size(),
-                           std::vector<double>(scenario.values.size(), 0.0));
+      per_objective.assign(
+          policies.size(),
+          std::vector<double>(scenarios[s].values.size(), 0.0));
     }
+  }
+
+  // Phase 1 (matrix order): enumerate the run matrix, resolve cells
+  // against the store, and dedupe the misses by cache key — a key
+  // occurring in several cells is simulated once.
+  std::vector<CellSource> cells;
+  std::vector<core::ObjectiveValues> resolved;
+  std::vector<UniqueJob> jobs;
+  std::unordered_map<std::string, CellSource> by_key;
+  SweepStats local;
+  for (std::size_t s = 0; s < scenarios.size(); ++s) {
     for (std::size_t p = 0; p < policies.size(); ++p) {
-      for (std::size_t v = 0; v < scenario.values.size(); ++v) {
-        const RunSettings settings = scenario.settings_for(defaults, v);
-        const core::ObjectiveValues values = run_one(policies[p], settings);
+      for (std::size_t v = 0; v < scenarios[s].values.size(); ++v) {
+        RunSettings settings = scenarios[s].settings_for(defaults, v);
+        std::string key = config_.run_key(policies[p], settings);
+        if (auto it = by_key.find(key); it != by_key.end()) {
+          if (it->second.kind == CellSource::Kind::FromJob) {
+            ++local.deduped;  // coalesced onto a pending run
+          } else {
+            ++local.cache_hits;
+          }
+          cells.push_back(it->second);
+          continue;
+        }
+        CellSource source;
+        if (auto cached = store_->lookup(key)) {
+          source = {CellSource::Kind::FromStore, resolved.size()};
+          resolved.push_back(*cached);
+          ++local.cache_hits;
+          by_key.emplace(std::move(key), source);
+        } else {
+          source = {CellSource::Kind::FromJob, jobs.size()};
+          by_key.emplace(key, source);
+          jobs.push_back({std::move(key), policies[p], std::move(settings)});
+        }
+        cells.push_back(source);
+      }
+    }
+  }
+
+  // Phase 2: simulate the unique cache misses across the workers. Each
+  // worker shard runs on its own WorkloadBuilder (and thus its own
+  // simulator per run), so the single-threaded kernel contract holds;
+  // results land at their job index, never shared between workers.
+  std::vector<core::ObjectiveValues> job_values(jobs.size());
+  std::vector<RunTiming> timings(jobs.size());
+  // Executor instruments (all null when no enabled registry is hooked):
+  // run/queue-wait histograms are shared across workers, the run counter
+  // is per worker shard so load imbalance is visible in the snapshot.
+  obs::MetricsRegistry* registry = metrics_;
+  obs::Histogram* run_wall_hist = obs::histogram_or_null(
+      registry, "exp.run_wall_seconds", obs::default_time_buckets());
+  obs::Histogram* queue_wait_hist = obs::histogram_or_null(
+      registry, "exp.task_queue_wait_seconds", obs::default_time_buckets());
+  if (obs::Counter* c = obs::counter_or_null(registry, "exp.cache_hits")) {
+    c->inc(local.cache_hits);
+  }
+  if (obs::Counter* c = obs::counter_or_null(registry, "exp.deduped")) {
+    c->inc(local.deduped);
+  }
+  if (obs::Counter* c = obs::counter_or_null(registry, "exp.cache_misses")) {
+    c->inc(jobs.size());
+  }
+  std::vector<obs::Counter*> shard_runs(
+      std::min(worker_count(), jobs.size()));
+  for (std::size_t shard = 0; shard < shard_runs.size(); ++shard) {
+    shard_runs[shard] = obs::counter_or_null(
+        registry, "exp.worker." + std::to_string(shard) + ".runs");
+  }
+  obs::ProgressReporter* progress = jobs.empty() ? nullptr : progress_;
+  if (progress != nullptr) {
+    progress->begin(jobs.size(), worker_count(), [this] {
+      return pool_ != nullptr ? pool_->active_count() : std::size_t{1};
+    });
+  }
+  const auto region_start = std::chrono::steady_clock::now();
+  const auto run_job = [&](std::size_t shard, std::size_t j) {
+    const auto start = std::chrono::steady_clock::now();
+    if (queue_wait_hist != nullptr) {
+      // Time this run waited before a worker picked it up, measured from
+      // the fan-out instant.
+      queue_wait_hist->observe(
+          std::chrono::duration<double>(start - region_start).count());
+    }
+    std::uint64_t events = 0;
+    job_values[j] = simulate_run(config_, builders_[shard], jobs[j].policy,
+                                 jobs[j].settings, &events, registry);
+    timings[j] = {jobs[j].key, seconds_since(start), events};
+    store_->insert(jobs[j].key, job_values[j]);
+    if (run_wall_hist != nullptr) {
+      run_wall_hist->observe(timings[j].wall_seconds);
+    }
+    if (shard_runs[shard] != nullptr) shard_runs[shard]->inc();
+    if (progress != nullptr) progress->note_done();
+  };
+  try {
+    parallel_for_index(pool_.get(), jobs.size(), run_job);
+  } catch (...) {
+    // The reporter thread samples pool state; stop it before unwinding.
+    if (progress != nullptr) progress->end();
+    throw;
+  }
+  if (progress != nullptr) progress->end();
+  local.wall_seconds = seconds_since(region_start);
+  local.simulations = jobs.size();
+  for (const RunTiming& timing : timings) local.events += timing.events;
+  local.runs = std::move(timings);
+
+  // Phase 3 (matrix order): scatter cell values back into the matrix and
+  // reduce.
+  std::size_t cell = 0;
+  for (std::size_t s = 0; s < scenarios.size(); ++s) {
+    for (std::size_t p = 0; p < policies.size(); ++p) {
+      for (std::size_t v = 0; v < scenarios[s].values.size(); ++v) {
+        const CellSource& source = cells[cell++];
+        const core::ObjectiveValues& values =
+            source.kind == CellSource::Kind::FromStore
+                ? resolved[source.index]
+                : job_values[source.index];
         for (core::Objective objective : core::kAllObjectives) {
           result.raw[s][static_cast<std::size_t>(objective)][p][v] =
               values.get(objective);
         }
       }
     }
-
     reduce_scenario(result, s, config_.normalization);
   }
+
+  stats_.accumulate(local);
   return result;
 }
 

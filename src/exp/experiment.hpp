@@ -7,6 +7,7 @@
 #include <array>
 #include <cstdint>
 #include <iosfwd>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -22,6 +23,7 @@
 
 namespace utilrisk::obs {
 class MetricsRegistry;
+class ProgressReporter;
 }  // namespace utilrisk::obs
 
 namespace utilrisk::service {
@@ -29,6 +31,8 @@ struct SimulationReport;
 }  // namespace utilrisk::service
 
 namespace utilrisk::exp {
+
+class ThreadPool;
 
 /// The two experiment sets (§5.4): identical except for the default
 /// runtime-estimate inaccuracy.
@@ -62,9 +66,14 @@ struct ExperimentConfig {
   /// The base-trace builder this config describes: the `workload` spec
   /// when set, else the synthetic SDSC config (routed through the
   /// generator registry either way). Every consumer of the base trace —
-  /// serial runner, parallel workers, golden-replay harness — goes
-  /// through here so they cannot drift.
+  /// sweep workers, golden-replay harness — goes through here so they
+  /// cannot drift.
   [[nodiscard]] workload::WorkloadBuilder make_builder() const;
+
+  /// `count` (at least one) copies of make_builder(), one per worker
+  /// shard, so no two workers share a builder.
+  [[nodiscard]] std::vector<workload::WorkloadBuilder> make_builders(
+      std::size_t count) const;
 
   /// Canonical cache key of one run under this config.
   [[nodiscard]] std::string run_key(policy::PolicyKind policy,
@@ -92,8 +101,8 @@ struct SweepResult {
 /// analysis.
 void write_sweep_csv(std::ostream& out, const SweepResult& sweep);
 
-/// Exact (bit-level, no tolerance) equality of two sweeps — the parallel
-/// executor's contract is bit-identity with the serial path, so nothing
+/// Exact (bit-level, no tolerance) equality of two sweeps — the sweep
+/// executor's contract is bit-identity at every worker count, so nothing
 /// weaker than == on every double is acceptable here.
 [[nodiscard]] bool bit_identical(const SweepResult& a, const SweepResult& b);
 
@@ -105,7 +114,7 @@ struct RunTiming {
 };
 
 /// Timing/dedup counters of a sweep, accumulated across sweeps of one
-/// runner. Shared by the serial and parallel executors.
+/// runner.
 struct SweepStats {
   std::size_t simulations = 0;   ///< runs actually executed (cache misses)
   std::uint64_t events = 0;      ///< kernel events across those runs
@@ -118,12 +127,11 @@ struct SweepStats {
 };
 
 /// One uncached simulation under `config`: builds the run's job stream
-/// from `builder` (parallel workers own one each so the single-threaded
+/// from `builder` (sweep workers own one each so the single-threaded
 /// kernel is untouched), simulates, and returns the objectives. If
 /// `events_out` is non-null it receives the events dispatched. A non-null
 /// `metrics` registry is injected into the run (kernel `sim.*` and
-/// `service.*` instruments). Exposed so the serial and parallel paths
-/// share one definition of "a run".
+/// `service.*` instruments). Exposed as the one definition of "a run".
 [[nodiscard]] core::ObjectiveValues simulate_run(
     const ExperimentConfig& config, const workload::WorkloadBuilder& builder,
     policy::PolicyKind policy, const RunSettings& settings,
@@ -140,20 +148,25 @@ struct SweepStats {
     obs::MetricsRegistry* metrics = nullptr);
 
 /// Normalises scenario `s`'s raw values and reduces them to separate risk
-/// (eqns 5-6), writing result.separate[s]. One definition shared by the
-/// serial and parallel paths keeps them bit-identical by construction.
+/// (eqns 5-6), writing result.separate[s].
 void reduce_scenario(SweepResult& result, std::size_t s,
                      const core::NormalizationConfig& normalization);
 
+/// The sweep executor. A sweep runs in three phases: enumerate the
+/// (scenario, policy, value) matrix in order and dedupe it by cache key
+/// (a key is simulated once however many cells request it), simulate the
+/// cache misses across the workers, then reduce in matrix order. Results
+/// are bit-identical at every worker count.
 class ExperimentRunner {
  public:
   /// `store` (optional) memoises runs across runners and processes.
-  /// `workers` > 1 fans sweep cells out across a thread pool
-  /// (exp/parallel.hpp) with bit-identical results; 0 resolves to
-  /// REPRO_JOBS_PAR / hardware_concurrency(), 1 forces the serial path.
+  /// `workers` > 1 fans the runs out across a pool the runner owns
+  /// (exp/parallel.hpp); 0 resolves to REPRO_JOBS_PAR /
+  /// hardware_concurrency(), 1 runs everything on the calling thread.
   explicit ExperimentRunner(ExperimentConfig config,
                             ResultStore* store = nullptr,
                             std::size_t workers = 0);
+  ~ExperimentRunner();
 
   /// Raw objective values of a single run (cached).
   [[nodiscard]] core::ObjectiveValues run_one(policy::PolicyKind policy,
@@ -167,7 +180,7 @@ class ExperimentRunner {
 
   /// Arbitrary scenario list over explicit defaults — the substrate of
   /// run_sweep, exposed so extension scenarios (the MTBF robustness
-  /// sweep) reuse the raw-collection/normalise/reduce machinery without
+  /// sweep) reuse the enumerate/simulate/reduce machinery without
   /// joining the Table VI set.
   [[nodiscard]] SweepResult run_scenarios(
       const std::vector<Scenario>& scenarios, const RunSettings& defaults,
@@ -175,7 +188,7 @@ class ExperimentRunner {
 
   [[nodiscard]] const ExperimentConfig& config() const { return config_; }
   [[nodiscard]] const workload::WorkloadBuilder& workloads() const {
-    return builder_;
+    return builders_.front();
   }
 
   /// Total simulations actually executed (cache misses).
@@ -183,20 +196,36 @@ class ExperimentRunner {
     return stats_.simulations;
   }
 
-  /// Worker threads used by run_sweep/run_scenarios (1 = serial).
-  [[nodiscard]] std::size_t worker_count() const { return workers_; }
+  /// Worker threads used by run_sweep/run_scenarios (1 = the calling
+  /// thread).
+  [[nodiscard]] std::size_t worker_count() const { return builders_.size(); }
 
   /// Per-run wall-clock and events-processed counters, accumulated across
   /// run_one/run_sweep/run_scenarios calls.
   [[nodiscard]] const SweepStats& stats() const { return stats_; }
 
+  /// Attach observability to subsequent sweeps; nullptr (the default)
+  /// detaches, and the runner never owns the objects. `metrics` receives
+  /// the `exp.*` executor instruments (per-worker run counters, run-wall
+  /// and queue-wait histograms, cache hit/miss counters) and is injected
+  /// into every executed run (`sim.*` / `service.*`); `progress` prints
+  /// periodic completed/total/ETA lines while the runs execute.
+  void set_metrics(obs::MetricsRegistry* metrics) { metrics_ = metrics; }
+  void set_progress(obs::ProgressReporter* progress) {
+    progress_ = progress;
+  }
+
  private:
   ExperimentConfig config_;
-  workload::WorkloadBuilder builder_;
+  /// One base-trace builder per worker, indexed by shard; the first also
+  /// serves run_one.
+  std::vector<workload::WorkloadBuilder> builders_;
   ResultStore* store_;
   ResultStore local_store_;  ///< used when no shared store is given
-  std::size_t workers_;
   SweepStats stats_;
+  obs::MetricsRegistry* metrics_ = nullptr;
+  obs::ProgressReporter* progress_ = nullptr;
+  std::unique_ptr<ThreadPool> pool_;  ///< null at one worker; joins first
 };
 
 }  // namespace utilrisk::exp

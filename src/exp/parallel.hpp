@@ -1,12 +1,15 @@
-// Parallel sweep executor: thread-pool fan-out of independent simulations.
+// Run fan-out: a thread pool and the one loop every independent-run
+// fan-out goes through.
 //
 // Every figure of the paper reduces hundreds of *independent*
 // single-threaded simulation runs (scenario x policy x value x seed), so
 // the experiment layer — not the kernel — is where parallelism lives
-// (DESIGN.md §4 "threading model"): each worker owns its own
-// WorkloadBuilder and simulator, RNG seeding stays per-run, and the
-// reduction happens in deterministic task order after a barrier, so the
-// parallel path is bit-identical to the serial one.
+// (DESIGN.md §4 "threading model"): the sweep executor
+// (ExperimentRunner::run_scenarios), the golden-digest harness and
+// replication all hand their runs to parallel_for_index. Each worker owns
+// its own WorkloadBuilder and simulator, RNG seeding stays per-run, and
+// results land at their run index, so the output does not depend on the
+// worker count.
 //
 // The worker count resolves, in order: explicit argument >
 // REPRO_JOBS_PAR env var > std::thread::hardware_concurrency().
@@ -20,22 +23,15 @@
 #include <thread>
 #include <vector>
 
-#include "exp/experiment.hpp"
-#include "exp/scenario.hpp"
-
-namespace utilrisk::obs {
-class MetricsRegistry;
-class ProgressReporter;
-}  // namespace utilrisk::obs
-
 namespace utilrisk::exp {
 
-/// REPRO_JOBS_PAR if set to a positive integer, else
-/// hardware_concurrency() (at least 1).
+/// REPRO_JOBS_PAR if set, else hardware_concurrency() (at least 1).
+/// Throws std::invalid_argument naming REPRO_JOBS_PAR when the variable is
+/// set but is not a positive integer that fits std::size_t.
 [[nodiscard]] std::size_t default_worker_count();
 
 /// Fixed-size worker pool: std::jthread workers draining a mutex/condvar
-/// task queue. Tasks must not throw (the sweep executor catches and
+/// task queue. Tasks must not throw (parallel_for_index catches and
 /// re-throws after its barrier); submit() never blocks on task execution.
 class ThreadPool {
  public:
@@ -71,82 +67,21 @@ class ThreadPool {
   std::vector<std::jthread> workers_;  ///< last member: joins first
 };
 
-/// Runs fn(0..count-1) across the pool (each index exactly once, dynamic
-/// load balancing) and returns after all complete. The first exception
-/// thrown by any index is re-thrown here.
-void parallel_for_index(ThreadPool& pool, std::size_t count,
-                        const std::function<void(std::size_t)>& fn);
+/// Body of a parallel_for_index: `shard` names the worker running it (the
+/// slot of any per-worker state), `index` the item.
+using IndexFn = std::function<void(std::size_t shard, std::size_t index)>;
 
-/// Optional observability attachments for a parallel sweep. Both pointers
-/// may be null (the default): the sweep then runs exactly as before.
-struct SweepHooks {
-  /// Receives `exp.*` executor instruments (per-worker run counters,
-  /// run-wall and queue-wait histograms, cache hit/miss counters) and is
-  /// injected into every executed run (`sim.*` / `service.*`).
-  obs::MetricsRegistry* metrics = nullptr;
-  /// Periodic completed/total/ETA lines while phase 2 executes.
-  obs::ProgressReporter* progress = nullptr;
-};
+/// Runs fn(shard, i) for every i in [0, count), each exactly once with
+/// dynamic load balancing, and returns after all complete. `shard` is below
+/// the pool's worker count. A null `pool` runs every index in order on the
+/// calling thread as shard 0 and spawns no thread. The first exception
+/// thrown by any index stops further indices from starting and is
+/// re-thrown here.
+void parallel_for_index(ThreadPool* pool, std::size_t count, const IndexFn& fn);
 
-/// The parallel twin of ExperimentRunner::run_scenarios: enumerates the
-/// (scenario, policy, value) run matrix in deterministic order, dedupes
-/// tasks by cache key (an in-flight key is simulated exactly once, however
-/// many cells request it), fans the cache misses out across the pool's
-/// workers, then reduces after a barrier. `stats` (optional) receives the
-/// per-run timing counters.
-[[nodiscard]] SweepResult run_scenarios_parallel(
-    const ExperimentConfig& config, ResultStore& store,
-    const std::vector<Scenario>& scenarios, const RunSettings& defaults,
-    const std::vector<policy::PolicyKind>& policies, ThreadPool& pool,
-    SweepStats* stats = nullptr, const SweepHooks& hooks = {});
-
-/// Convenience overload: a throwaway pool of `workers` threads.
-[[nodiscard]] SweepResult run_scenarios_parallel(
-    const ExperimentConfig& config, ResultStore& store,
-    const std::vector<Scenario>& scenarios, const RunSettings& defaults,
-    const std::vector<policy::PolicyKind>& policies, std::size_t workers,
-    SweepStats* stats = nullptr, const SweepHooks& hooks = {});
-
-/// Drop-in parallel ExperimentRunner with a persistent pool: same sweep
-/// API, bit-identical results, `stats()` exposing wall-clock/events/dedup
-/// counters of the last sweep.
-class ParallelRunner {
- public:
-  explicit ParallelRunner(ExperimentConfig config, ResultStore* store = nullptr,
-                          std::size_t workers = 0 /* 0 = default */);
-
-  [[nodiscard]] SweepResult run_sweep();
-  [[nodiscard]] SweepResult run_sweep(
-      const std::vector<policy::PolicyKind>& policies);
-  [[nodiscard]] SweepResult run_scenarios(
-      const std::vector<Scenario>& scenarios, const RunSettings& defaults,
-      const std::vector<policy::PolicyKind>& policies);
-
-  [[nodiscard]] const ExperimentConfig& config() const { return config_; }
-  [[nodiscard]] std::size_t worker_count() const {
-    return pool_.worker_count();
-  }
-  /// Simulations actually executed (cache misses) across all sweeps.
-  [[nodiscard]] std::size_t simulations_run() const {
-    return stats_.simulations;
-  }
-  /// Timing/dedup counters accumulated across all sweeps of this runner.
-  [[nodiscard]] const SweepStats& stats() const { return stats_; }
-
-  /// Attach observability to subsequent sweeps (see SweepHooks). Both
-  /// accept nullptr to detach; the runner never owns the objects.
-  void set_metrics(obs::MetricsRegistry* metrics) { hooks_.metrics = metrics; }
-  void set_progress(obs::ProgressReporter* progress) {
-    hooks_.progress = progress;
-  }
-
- private:
-  ExperimentConfig config_;
-  ResultStore* store_;
-  ResultStore local_store_;  ///< used when no shared store is given
-  SweepStats stats_;
-  SweepHooks hooks_;
-  ThreadPool pool_;  ///< last member: joins before the store dies
-};
+/// The same over a pool of min(workers, count) threads that lives for this
+/// call only; `workers` <= 1 runs on the calling thread.
+void parallel_for_index(std::size_t workers, std::size_t count,
+                        const IndexFn& fn);
 
 }  // namespace utilrisk::exp

@@ -546,17 +546,16 @@ EngineStats AdmissionEngine::drain() {
   for (auto& [key, state] : tenants_) {
     state.simulator.run();
     state.virtual_now = std::max(state.virtual_now, state.simulator.now());
-    for (const auto& [id, record] : state.service->metrics().records()) {
-      if (record.outcome == workload::JobOutcome::FulfilledSLA) {
-        ++stats_.fulfilled;
-      } else if (record.outcome == workload::JobOutcome::ViolatedSLA) {
-        ++stats_.violated;
-      }
-    }
     // Jobs settled under this key's previous policies (live switches
-    // rebuild the service; their outcomes live in the accumulators).
-    stats_.fulfilled += state.settled_fulfilled;
-    stats_.violated += state.settled_violated;
+    // rebuild the service; their outcomes live in the accumulators) plus
+    // those of the current service.
+    const service::MetricsCollector& metrics = state.service->metrics();
+    stats_.fulfilled +=
+        state.settled_fulfilled +
+        metrics.outcome_count(workload::JobOutcome::FulfilledSLA);
+    stats_.violated +=
+        state.settled_violated +
+        metrics.outcome_count(workload::JobOutcome::ViolatedSLA);
     stats_.events_dispatched += state.simulator.events_dispatched();
     stats_.virtual_end_time =
         std::max(stats_.virtual_end_time, state.virtual_now);

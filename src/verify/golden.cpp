@@ -1,11 +1,8 @@
 #include "verify/golden.hpp"
 
-#include <atomic>
-#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <mutex>
 #include <sstream>
 #include <stdexcept>
 
@@ -107,45 +104,15 @@ GoldenFile compute_golden(const GoldenConfig& golden_config,
     runs.push_back(&run);
   }
 
-  auto digest_one = [&config](const workload::WorkloadBuilder& builder,
-                              const UniqueRun& run) {
-    return run_digest(
-        exp::simulate_run_report(config, builder, run.policy, run.settings));
-  };
-
-  if (workers <= 1) {
-    const workload::WorkloadBuilder builder = config.make_builder();
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-      result.entries[i].digest = digest_one(builder, *runs[i]);
-    }
-    return result;
-  }
-
-  // Same fan-out shape as the parallel sweep executor: each worker shard
-  // owns its own WorkloadBuilder, results land at their index, and the
-  // serial/parallel outputs are identical by construction.
-  exp::ThreadPool pool(workers);
-  std::atomic<std::size_t> next{0};
-  std::mutex error_mutex;
-  std::exception_ptr first_error;
-  const std::size_t shards = std::min(pool.worker_count(), runs.size());
-  for (std::size_t shard = 0; shard < shards; ++shard) {
-    pool.submit([&] {
-      try {
-        const workload::WorkloadBuilder builder = config.make_builder();
-        for (;;) {
-          const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-          if (i >= runs.size()) return;
-          result.entries[i].digest = digest_one(builder, *runs[i]);
-        }
-      } catch (...) {
-        std::lock_guard lock(error_mutex);
-        if (!first_error) first_error = std::current_exception();
-      }
-    });
-  }
-  pool.wait_idle();
-  if (first_error) std::rethrow_exception(first_error);
+  // Each worker shard owns its own WorkloadBuilder and results land at
+  // their index, so the digests do not depend on the worker count.
+  const std::vector<workload::WorkloadBuilder> builders =
+      config.make_builders(workers);
+  exp::parallel_for_index(
+      workers, runs.size(), [&](std::size_t shard, std::size_t i) {
+        result.entries[i].digest = run_digest(exp::simulate_run_report(
+            config, builders[shard], runs[i]->policy, runs[i]->settings));
+      });
   return result;
 }
 

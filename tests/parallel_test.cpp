@@ -1,13 +1,19 @@
-// Tests for the parallel sweep executor: thread pool semantics,
-// parallel-vs-serial bit-identity, concurrent ResultStore safety and
-// in-flight deduplication.
+// Tests for the sweep executor and its fan-out: thread pool and
+// parallel_for_index semantics, bit-identity against a reference loop at
+// every worker count, concurrent ResultStore safety and in-flight
+// deduplication.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <mutex>
+#include <optional>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -57,30 +63,100 @@ TEST(ThreadPoolTest, ZeroWorkerRequestClampsToOne) {
 }
 
 TEST(ParallelForIndexTest, CoversEachIndexExactlyOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(257);
-  parallel_for_index(pool, hits.size(),
-                     [&hits](std::size_t i) { hits[i].fetch_add(1); });
-  for (std::size_t i = 0; i < hits.size(); ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+  for (std::size_t workers : {1u, 4u}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    std::vector<std::atomic<int>> hits(257);
+    std::mutex ids_mutex;
+    std::set<std::thread::id> ids;
+    parallel_for_index(workers, hits.size(),
+                       [&](std::size_t shard, std::size_t i) {
+                         hits[i].fetch_add(1);
+                         ASSERT_LT(shard, workers);
+                         std::lock_guard lock(ids_mutex);
+                         ids.insert(std::this_thread::get_id());
+                       });
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+      EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+    }
+    if (workers == 1) {
+      EXPECT_EQ(ids, std::set{std::this_thread::get_id()})
+          << "one worker runs every index on the calling thread";
+    } else {
+      EXPECT_FALSE(ids.contains(std::this_thread::get_id()))
+          << "a pool runs the indices on its own threads";
+    }
   }
 }
 
 TEST(ParallelForIndexTest, PropagatesTheFirstException) {
+  for (std::size_t workers : {1u, 4u}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    EXPECT_THROW(parallel_for_index(workers, 64,
+                                    [](std::size_t, std::size_t i) {
+                                      if (i == 13) {
+                                        throw std::runtime_error("boom");
+                                      }
+                                    }),
+                 std::runtime_error);
+  }
+  // A pool survives a throwing batch.
   ThreadPool pool(4);
-  EXPECT_THROW(
-      parallel_for_index(pool, 64,
-                         [](std::size_t i) {
-                           if (i == 13) throw std::runtime_error("boom");
-                         }),
-      std::runtime_error);
-  // The pool survives a throwing batch.
+  EXPECT_THROW(parallel_for_index(&pool, 64,
+                                  [](std::size_t, std::size_t i) {
+                                    if (i == 13) {
+                                      throw std::runtime_error("boom");
+                                    }
+                                  }),
+               std::runtime_error);
   std::atomic<int> counter{0};
-  parallel_for_index(pool, 8, [&counter](std::size_t) { counter++; });
+  parallel_for_index(&pool, 8,
+                     [&counter](std::size_t, std::size_t) { counter++; });
   EXPECT_EQ(counter.load(), 8);
 }
 
-// ------------------------------------------------- parallel sweep executor
+// ------------------------------------------------------ worker resolution
+
+/// Sets REPRO_JOBS_PAR for one scope and restores the previous value.
+class ScopedJobsPar {
+ public:
+  explicit ScopedJobsPar(const char* value) {
+    if (const char* old = std::getenv("REPRO_JOBS_PAR")) previous_ = old;
+    ::setenv("REPRO_JOBS_PAR", value, 1);
+  }
+  ~ScopedJobsPar() {
+    if (previous_) {
+      ::setenv("REPRO_JOBS_PAR", previous_->c_str(), 1);
+    } else {
+      ::unsetenv("REPRO_JOBS_PAR");
+    }
+  }
+
+ private:
+  std::optional<std::string> previous_;
+};
+
+TEST(DefaultWorkerCountTest, ReadsAPositiveReproJobsPar) {
+  const ScopedJobsPar env("3");
+  EXPECT_EQ(default_worker_count(), 3u);
+}
+
+TEST(DefaultWorkerCountTest, RejectsMalformedReproJobsPar) {
+  for (const char* value :
+       {"abc", "4abc", "0", "-2", "", "99999999999999999999999"}) {
+    SCOPED_TRACE(std::string("REPRO_JOBS_PAR=") + value);
+    const ScopedJobsPar env(value);
+    try {
+      (void)default_worker_count();
+      ADD_FAILURE() << "accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("REPRO_JOBS_PAR"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+// ---------------------------------------------------------- sweep executor
 
 ExperimentConfig tiny_config() {
   ExperimentConfig config;
@@ -98,25 +174,67 @@ std::vector<Scenario> small_scenario_set() {
   return {all.begin(), all.begin() + 3};
 }
 
+/// The reference the executor is held to: every cell simulated on the
+/// calling thread in matrix order (a repeated key is served from a memo),
+/// then each scenario reduced. `simulations` receives the unique runs.
+SweepResult reference_sweep(const ExperimentConfig& config,
+                            const std::vector<Scenario>& scenarios,
+                            const std::vector<policy::PolicyKind>& policies,
+                            std::size_t* simulations) {
+  const workload::WorkloadBuilder builder = config.make_builder();
+  const RunSettings defaults = config.default_settings();
+  std::map<std::string, core::ObjectiveValues> memo;
+  SweepResult result;
+  result.policies = policies;
+  result.raw.resize(scenarios.size());
+  result.separate.resize(scenarios.size());
+  for (std::size_t s = 0; s < scenarios.size(); ++s) {
+    result.scenario_names.push_back(scenarios[s].name);
+    for (auto& per_objective : result.raw[s]) {
+      per_objective.assign(policies.size(),
+                           std::vector<double>(scenarios[s].values.size()));
+    }
+    for (std::size_t p = 0; p < policies.size(); ++p) {
+      for (std::size_t v = 0; v < scenarios[s].values.size(); ++v) {
+        const RunSettings settings = scenarios[s].settings_for(defaults, v);
+        const std::string key = config.run_key(policies[p], settings);
+        auto it = memo.find(key);
+        if (it == memo.end()) {
+          it = memo.emplace(key, simulate_run(config, builder, policies[p],
+                                              settings))
+                   .first;
+        }
+        for (core::Objective objective : core::kAllObjectives) {
+          result.raw[s][static_cast<std::size_t>(objective)][p][v] =
+              it->second.get(objective);
+        }
+      }
+    }
+    reduce_scenario(result, s, config.normalization);
+  }
+  *simulations = memo.size();
+  return result;
+}
+
 TEST(ParallelSweepTest, BitIdenticalToSerialAcrossWorkerCounts) {
   const ExperimentConfig config = tiny_config();
   const std::vector<Scenario> scenarios = small_scenario_set();
   const RunSettings defaults = config.default_settings();
 
-  ResultStore serial_store;
-  ExperimentRunner serial(config, &serial_store, 1);
-  const SweepResult reference =
-      serial.run_scenarios(scenarios, defaults, kTestPolicies);
+  std::size_t reference_simulations = 0;
+  const SweepResult reference = reference_sweep(
+      config, scenarios, kTestPolicies, &reference_simulations);
 
   for (std::size_t workers : {1u, 2u, 8u}) {
     SCOPED_TRACE("workers=" + std::to_string(workers));
     ResultStore store;
-    ParallelRunner runner(config, &store, workers);
+    ExperimentRunner runner(config, &store, workers);
+    EXPECT_EQ(runner.worker_count(), workers);
     const SweepResult sweep =
         runner.run_scenarios(scenarios, defaults, kTestPolicies);
     EXPECT_TRUE(bit_identical(sweep, reference));
-    EXPECT_EQ(runner.simulations_run(), serial.simulations_run())
-        << "in-flight dedup must match the serial cache dedup";
+    EXPECT_EQ(runner.simulations_run(), reference_simulations)
+        << "in-flight dedup must simulate each key once";
   }
 }
 
@@ -125,15 +243,17 @@ TEST(ParallelSweepTest, ExperimentRunnerParallelPathMatchesSerial) {
   const std::vector<Scenario> scenarios = small_scenario_set();
   const RunSettings defaults = config.default_settings();
 
-  ExperimentRunner serial(config, nullptr, 1);
-  ExperimentRunner parallel(config, nullptr, 4);
-  EXPECT_EQ(parallel.worker_count(), 4u);
+  ExperimentRunner inline_runner(config, nullptr, 1);
+  ExperimentRunner pooled(config, nullptr, 4);
+  EXPECT_EQ(pooled.worker_count(), 4u);
   const SweepResult a =
-      serial.run_scenarios(scenarios, defaults, kTestPolicies);
+      inline_runner.run_scenarios(scenarios, defaults, kTestPolicies);
   const SweepResult b =
-      parallel.run_scenarios(scenarios, defaults, kTestPolicies);
+      pooled.run_scenarios(scenarios, defaults, kTestPolicies);
   EXPECT_TRUE(bit_identical(a, b));
-  EXPECT_EQ(serial.simulations_run(), parallel.simulations_run());
+  EXPECT_EQ(inline_runner.simulations_run(), pooled.simulations_run());
+  EXPECT_EQ(inline_runner.stats().deduped, pooled.stats().deduped);
+  EXPECT_EQ(inline_runner.stats().cache_hits, pooled.stats().cache_hits);
 }
 
 TEST(ParallelSweepTest, InFlightDedupSimulatesSharedKeysOnce) {
@@ -146,19 +266,23 @@ TEST(ParallelSweepTest, InFlightDedupSimulatesSharedKeysOnce) {
   constant.apply = [](RunSettings&, double) {};
 
   const ExperimentConfig config = tiny_config();
-  ResultStore store;
-  ParallelRunner runner(config, &store, 4);
-  const SweepResult sweep = runner.run_scenarios(
-      {constant}, config.default_settings(), kTestPolicies);
-  EXPECT_EQ(runner.simulations_run(), kTestPolicies.size());
-  EXPECT_EQ(runner.stats().deduped,
-            kTestPolicies.size() * (constant.values.size() - 1));
-  EXPECT_EQ(store.size(), kTestPolicies.size());
-  // All six cells of a policy carry the same raw values.
-  for (std::size_t o = 0; o < 4; ++o) {
-    for (std::size_t p = 0; p < kTestPolicies.size(); ++p) {
-      for (double v : sweep.raw[0][o][p]) {
-        EXPECT_EQ(v, sweep.raw[0][o][p][0]);
+  for (std::size_t workers : {1u, 4u}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    ResultStore store;
+    ExperimentRunner runner(config, &store, workers);
+    const SweepResult sweep = runner.run_scenarios(
+        {constant}, config.default_settings(), kTestPolicies);
+    EXPECT_EQ(runner.simulations_run(), kTestPolicies.size());
+    EXPECT_EQ(runner.stats().deduped,
+              kTestPolicies.size() * (constant.values.size() - 1));
+    EXPECT_EQ(runner.stats().cache_hits, 0u);
+    EXPECT_EQ(store.size(), kTestPolicies.size());
+    // All six cells of a policy carry the same raw values.
+    for (std::size_t o = 0; o < 4; ++o) {
+      for (std::size_t p = 0; p < kTestPolicies.size(); ++p) {
+        for (double v : sweep.raw[0][o][p]) {
+          EXPECT_EQ(v, sweep.raw[0][o][p][0]);
+        }
       }
     }
   }
@@ -168,10 +292,10 @@ TEST(ParallelSweepTest, WarmStoreServesEverythingWithoutSimulating) {
   const ExperimentConfig config = tiny_config();
   const std::vector<Scenario> scenarios = small_scenario_set();
   ResultStore store;
-  ParallelRunner first(config, &store, 4);
+  ExperimentRunner first(config, &store, 4);
   const SweepResult a = first.run_scenarios(
       scenarios, config.default_settings(), kTestPolicies);
-  ParallelRunner second(config, &store, 4);
+  ExperimentRunner second(config, &store, 4);
   const SweepResult b = second.run_scenarios(
       scenarios, config.default_settings(), kTestPolicies);
   EXPECT_EQ(second.simulations_run(), 0u) << "fully served from the store";
@@ -181,7 +305,7 @@ TEST(ParallelSweepTest, WarmStoreServesEverythingWithoutSimulating) {
 TEST(ParallelSweepTest, TimingCountersArePopulated) {
   const ExperimentConfig config = tiny_config();
   ResultStore store;
-  ParallelRunner runner(config, &store, 2);
+  ExperimentRunner runner(config, &store, 2);
   (void)runner.run_scenarios(small_scenario_set(),
                              config.default_settings(), kTestPolicies);
   const SweepStats& stats = runner.stats();

@@ -1483,6 +1483,23 @@ TEST(AdmissionEngineTest, AdviseAutoIsDeterministicAcrossRuns) {
       << "switch points and switches must replay bit-identically";
 }
 
+TEST(AdmissionEngineTest, DrainSettlesEveryAcceptedLibraJob) {
+  // By quiescence every job Libra accepted has settled fulfilled or
+  // violated, so the drain totals must add up to the accepted count: with
+  // one policy for the session, and with live switches, whose pre-switch
+  // outcomes are carried in the per-key settled accumulators.
+  const std::vector<Request> stream = make_mix_shift_stream(160, 29);
+  const EngineStats fixed = run_stream_with_config(stream, EngineConfig{});
+  EXPECT_GT(fixed.accepted, 0u);
+  EXPECT_EQ(fixed.fulfilled + fixed.violated, fixed.accepted);
+
+  const EngineStats switching =
+      run_stream_with_config(stream, advise_auto_config());
+  EXPECT_GT(switching.policy_switches, 0u);
+  EXPECT_GT(switching.accepted, 0u);
+  EXPECT_EQ(switching.fulfilled + switching.violated, switching.accepted);
+}
+
 TEST(ShardedEngineTest, AdviseAutoMergedDigestInvariantUnderShardCount) {
   const std::vector<Request> stream = make_mix_shift_stream(160, 31);
   const auto run = [&stream](std::size_t shards) {

@@ -285,7 +285,7 @@ int cmd_simulate(cli::CommandContext& ctx) {
 
 // ------------------------------------------------------------------ sweep
 
-/// Shared by sweep and advise: a ParallelRunner wired to the invocation's
+/// Shared by sweep and advise: an ExperimentRunner wired to the invocation's
 /// metrics registry and a progress reporter, plus the manifest entries
 /// every sweep records.
 exp::SweepResult run_wired_sweep(cli::CommandContext& ctx,
@@ -293,7 +293,7 @@ exp::SweepResult run_wired_sweep(cli::CommandContext& ctx,
                                  exp::SweepStats* stats_out,
                                  const std::vector<exp::Scenario>* scenarios =
                                      nullptr) {
-  exp::ParallelRunner runner(config, nullptr, ctx.workers);
+  exp::ExperimentRunner runner(config, nullptr, ctx.workers);
   runner.set_metrics(&ctx.metrics);
   obs::ProgressReporter::Options popts;
   popts.label = "sweep";
