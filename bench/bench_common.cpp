@@ -1,6 +1,7 @@
 #include "bench_common.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -8,12 +9,34 @@
 
 namespace utilrisk::bench {
 
+std::uint64_t parse_count(const char* name, std::string_view text,
+                          std::uint64_t max) {
+  std::uint64_t parsed = 0;
+  const auto [end, error] =
+      std::from_chars(text.data(), text.data() + text.size(), parsed);
+  if (error != std::errc() || end != text.data() + text.size() ||
+      parsed == 0 || parsed > max) {
+    std::cerr << "error: " << name << ": '" << text
+              << "' is not a positive integer";
+    if (max != std::numeric_limits<std::uint64_t>::max()) {
+      std::cerr << " up to " << max;
+    }
+    std::cerr << "\n";
+    std::exit(2);
+  }
+  return parsed;
+}
+
+std::uint64_t env_count(const char* name, std::uint64_t fallback,
+                        std::uint64_t max) {
+  const char* raw = std::getenv(name);
+  return raw == nullptr ? fallback : parse_count(name, raw, max);
+}
+
 BenchEnv read_env() {
   BenchEnv env;
-  if (const char* jobs = std::getenv("REPRO_JOBS")) {
-    const long parsed = std::strtol(jobs, nullptr, 10);
-    if (parsed > 0) env.jobs = static_cast<std::uint32_t>(parsed);
-  }
+  env.jobs = static_cast<std::uint32_t>(env_count(
+      "REPRO_JOBS", env.jobs, std::numeric_limits<std::uint32_t>::max()));
   if (const char* fresh = std::getenv("REPRO_FRESH")) {
     env.fresh = std::string(fresh) == "1";
   }

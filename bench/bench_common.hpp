@@ -7,9 +7,15 @@
 //                   (default ./bench_out)
 //   REPRO_JOBS_PAR  worker threads for the sweep fan-out
 //                   (default hardware_concurrency())
+//
+// Numeric knobs must be whole positive decimal integers; anything else
+// stops the bench with a message naming the knob.
 #pragma once
 
+#include <cstdint>
+#include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/report.hpp"
@@ -28,6 +34,19 @@ struct BenchEnv {
 
 /// Reads the environment knobs (creating the output directory).
 [[nodiscard]] BenchEnv read_env();
+
+/// `text` as the value of knob `name`: a whole positive decimal integer
+/// no larger than `max` — the rule exp::default_worker_count applies to
+/// REPRO_JOBS_PAR. Anything else ends the bench with exit status 2 and a
+/// message naming the knob.
+[[nodiscard]] std::uint64_t parse_count(
+    const char* name, std::string_view text,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
+
+/// parse_count of environment variable `name`, `fallback` when unset.
+[[nodiscard]] std::uint64_t env_count(
+    const char* name, std::uint64_t fallback,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
 
 /// Experiment configuration shared by every figure bench: the defaults of
 /// DESIGN.md §3 with the requested model/set.

@@ -22,8 +22,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -199,18 +201,14 @@ void print_result(const RunResult& r) {
 std::vector<std::uint32_t> node_counts_from_env() {
   std::vector<std::uint32_t> nodes;
   if (const char* raw = std::getenv("REPRO_NODES"); raw != nullptr) {
-    std::string spec(raw);
-    std::size_t pos = 0;
-    while (pos < spec.size()) {
-      const std::size_t comma = spec.find(',', pos);
-      const std::string tok =
-          spec.substr(pos, comma == std::string::npos ? spec.size() - pos
-                                                      : comma - pos);
-      if (!tok.empty()) {
-        nodes.push_back(static_cast<std::uint32_t>(std::stoul(tok)));
-      }
-      if (comma == std::string::npos) break;
-      pos = comma + 1;
+    std::string_view spec(raw);
+    for (;;) {
+      const std::size_t comma = spec.find(',');
+      nodes.push_back(static_cast<std::uint32_t>(
+          bench::parse_count("REPRO_NODES", spec.substr(0, comma),
+                             std::numeric_limits<std::uint32_t>::max())));
+      if (comma == std::string_view::npos) break;
+      spec.remove_prefix(comma + 1);
     }
   }
   if (nodes.empty()) nodes = {128, 1024, 10240, 102400};

@@ -75,17 +75,13 @@ double run_kernel(obs::MetricsRegistry* registry, std::uint64_t events) {
   return wall;
 }
 
-std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
-  const char* raw = std::getenv(name);
-  return raw == nullptr ? fallback : std::strtoull(raw, nullptr, 10);
-}
-
 }  // namespace
 
 int main() {
   const bench::BenchEnv env = bench::read_env();
-  const std::uint64_t events = env_u64("REPRO_OBS_EVENTS", 2000000);
-  const int reps = static_cast<int>(env_u64("REPRO_OBS_REPS", 7));
+  const std::uint64_t events = bench::env_count("REPRO_OBS_EVENTS", 2000000);
+  const int reps = static_cast<int>(bench::env_count(
+      "REPRO_OBS_REPS", 7, std::numeric_limits<int>::max()));
 
   std::cout << "obs overhead bench: " << events << " events/rep, " << reps
             << " reps per configuration\n";

@@ -1,6 +1,6 @@
 // Serving-path throughput/latency bench for `utilrisk serve`.
 //
-// Boots an in-process admission engine + TCP-loopback server, drives it
+// Boots an in-process one-shard engine + TCP-loopback server, drives it
 // with the seeded closed-loop load generator (the determinism-friendly
 // mode: one request in flight, so decisions replay bit-identically), and
 // writes <out>/BENCH_serving.json with throughput and p50/p95/p99
@@ -34,7 +34,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -45,6 +44,7 @@
 #include "advise/advisor_engine.hpp"
 #include "bench_common.hpp"
 #include "core/objectives.hpp"
+#include "obs/json.hpp"
 #include "policy/factory.hpp"
 #include "serve/engine.hpp"
 #include "serve/loadgen.hpp"
@@ -74,10 +74,10 @@ struct PassOptions {
 
 Pass run_pass(std::size_t requests, std::uint64_t seed,
               const PassOptions& options = {}) {
-  serve::EngineConfig engine_config;
-  engine_config.journal_dir = options.journal_dir;
-  engine_config.fsync = options.fsync;
-  serve::AdmissionEngine engine(engine_config);
+  serve::ShardedEngineConfig engine_config;
+  engine_config.engine.journal_dir = options.journal_dir;
+  engine_config.engine.fsync = options.fsync;
+  serve::ShardedEngine engine(engine_config);
   engine.start();
 
   serve::ServerConfig server_config;
@@ -180,10 +180,7 @@ ShardPass run_shard_pass(const std::vector<serve::Request>& stream,
 
 int main() {
   const bench::BenchEnv env = bench::read_env();
-  std::size_t requests = 5000;
-  if (const char* raw = std::getenv("REPRO_REQUESTS"); raw != nullptr) {
-    requests = static_cast<std::size_t>(std::strtoull(raw, nullptr, 10));
-  }
+  const std::size_t requests = bench::env_count("REPRO_REQUESTS", 5000);
   constexpr std::uint64_t kSeed = 42;
 
   std::cout << "serving bench: " << requests
@@ -467,106 +464,93 @@ int main() {
     pass = false;
   }
 
+  obs::json::Array shard_rows;
+  for (const ShardPass& shard_pass : sweep) {
+    shard_rows.push_back(obs::json::Object{
+        {"shards", shard_pass.shards},
+        {"wall_seconds", shard_pass.wall_seconds},
+        {"throughput_rps", shard_pass.throughput_rps},
+        {"decision_digest", shard_pass.digest}});
+  }
+  const obs::json::Value out = obs::json::Object{
+      {"bench", "serving"},
+      {"mode", "closed_loop"},
+      {"requests", requests},
+      {"seed", kSeed},
+      {"responses", r.responses},
+      {"accepted", r.accepted},
+      {"rejected", r.rejected},
+      {"busy", r.busy},
+      {"dropped", r.dropped},
+      {"wall_seconds", r.wall_seconds},
+      {"throughput_rps", r.throughput_rps},
+      {"latency_p50_ms", r.latency.p50_ms},
+      {"latency_p95_ms", r.latency.p95_ms},
+      {"latency_p99_ms", r.latency.p99_ms},
+      {"latency_mean_ms", r.latency.mean_ms},
+      {"latency_max_ms", r.latency.max_ms},
+      {"decision_digest", r.decision_digest},
+      {"digest_reproduced",
+       r.decision_digest == second.report.decision_digest},
+      {"journal",
+       obs::json::Object{
+           {"fsync", "batch"},
+           {"baseline_rps", direct_off.throughput_rps},
+           {"throughput_rps", journal_rps},
+           {"overhead_percent", overhead_percent},
+           {"digest_unchanged", direct_on.stats.decision_digest ==
+                                    direct_off.stats.decision_digest},
+           {"appends", direct_on.journal.requests},
+           {"ticks", direct_on.journal.ticks},
+           {"fsyncs", direct_on.journal.fsyncs},
+           {"rotations", direct_on.journal.rotations},
+           {"bytes", direct_on.journal.bytes}}},
+      {"overload",
+       obs::json::Object{{"offered_rps", overload_options.rate},
+                         {"deadline_ms", overload_options.deadline_ms},
+                         {"sent", o.sent},
+                         {"responses", o.responses},
+                         {"shed", o.shed},
+                         {"busy", o.busy},
+                         {"shed_percent", shed_percent},
+                         {"turned_away_percent", turned_away_percent},
+                         {"latency_p99_ms", o.latency.p99_ms}}},
+      {"shard_sweep",
+       obs::json::Object{
+           {"workload", shard_stream_config.workload},
+           {"requests", tenant_stream.size()},
+           {"shards", std::move(shard_rows)},
+           {"digest_invariant", shard_digest_invariant},
+           {"speedup_4x", speedup_4x},
+           {"hardware_threads", static_cast<std::uint64_t>(hardware_threads)},
+           {"speedup_gate_armed", speedup_gate_armed}}},
+      {"advise",
+       obs::json::Object{
+           {"workload", mix_config.workload},
+           {"mix_shift", mix_config.mix_shift},
+           {"requests", mix_stream.size()},
+           {"advise_every", advised_options.advisor.advise_every},
+           {"window", advised_options.advisor.window},
+           {"weights",
+            obs::json::Array(operator_weights.begin(),
+                             operator_weights.end())},
+           {"risk_aversion", kRiskAversion},
+           {"static_rps", static_rps},
+           {"advised_rps", advised_rps},
+           {"overhead_percent", advise_overhead_percent},
+           {"evaluations", advised.stats.advisor_evaluations},
+           {"policy_switches", advised.stats.policy_switches},
+           {"decision_digest", advised_digest},
+           {"digest_reproduced", advise_digest_reproduced},
+           {"static_policy", static_policy},
+           {"static_score", static_score},
+           {"recommended", verdict.recommended},
+           {"recommended_score", recommended_score},
+           {"advisor_beats_static", advisor_beats_static}}},
+      {"pass", pass}};
   const std::string path = env.out_dir + "/BENCH_serving.json";
   std::ofstream json(path);
-  json.precision(6);
-  json << "{\n"
-       << "  \"bench\": \"serving\",\n"
-       << "  \"mode\": \"closed_loop\",\n"
-       << "  \"requests\": " << requests << ",\n"
-       << "  \"seed\": " << kSeed << ",\n"
-       << "  \"responses\": " << r.responses << ",\n"
-       << "  \"accepted\": " << r.accepted << ",\n"
-       << "  \"rejected\": " << r.rejected << ",\n"
-       << "  \"busy\": " << r.busy << ",\n"
-       << "  \"dropped\": " << r.dropped << ",\n"
-       << "  \"wall_seconds\": " << r.wall_seconds << ",\n"
-       << "  \"throughput_rps\": " << r.throughput_rps << ",\n"
-       << "  \"latency_p50_ms\": " << r.latency.p50_ms << ",\n"
-       << "  \"latency_p95_ms\": " << r.latency.p95_ms << ",\n"
-       << "  \"latency_p99_ms\": " << r.latency.p99_ms << ",\n"
-       << "  \"latency_mean_ms\": " << r.latency.mean_ms << ",\n"
-       << "  \"latency_max_ms\": " << r.latency.max_ms << ",\n"
-       << "  \"decision_digest\": \"" << r.decision_digest << "\",\n"
-       << "  \"digest_reproduced\": "
-       << (r.decision_digest == second.report.decision_digest ? "true"
-                                                              : "false")
-       << ",\n"
-       << "  \"journal\": {\n"
-       << "    \"fsync\": \"batch\",\n"
-       << "    \"baseline_rps\": " << direct_off.throughput_rps << ",\n"
-       << "    \"throughput_rps\": " << journal_rps << ",\n"
-       << "    \"overhead_percent\": " << overhead_percent << ",\n"
-       << "    \"digest_unchanged\": "
-       << (direct_on.stats.decision_digest == direct_off.stats.decision_digest
-               ? "true"
-               : "false")
-       << ",\n"
-       << "    \"appends\": " << direct_on.journal.requests << ",\n"
-       << "    \"ticks\": " << direct_on.journal.ticks << ",\n"
-       << "    \"fsyncs\": " << direct_on.journal.fsyncs << ",\n"
-       << "    \"rotations\": " << direct_on.journal.rotations << ",\n"
-       << "    \"bytes\": " << direct_on.journal.bytes << "\n"
-       << "  },\n"
-       << "  \"overload\": {\n"
-       << "    \"offered_rps\": " << overload_options.rate << ",\n"
-       << "    \"deadline_ms\": " << overload_options.deadline_ms << ",\n"
-       << "    \"sent\": " << o.sent << ",\n"
-       << "    \"responses\": " << o.responses << ",\n"
-       << "    \"shed\": " << o.shed << ",\n"
-       << "    \"busy\": " << o.busy << ",\n"
-       << "    \"shed_percent\": " << shed_percent << ",\n"
-       << "    \"turned_away_percent\": " << turned_away_percent << ",\n"
-       << "    \"latency_p99_ms\": " << o.latency.p99_ms << "\n"
-       << "  },\n"
-       << "  \"shard_sweep\": {\n"
-       << "    \"workload\": \"zipf:tenants=64,theta=0.9\",\n"
-       << "    \"requests\": " << tenant_stream.size() << ",\n"
-       << "    \"shards\": [\n";
-  for (std::size_t i = 0; i < sweep.size(); ++i) {
-    json << "      {\"shards\": " << sweep[i].shards
-         << ", \"wall_seconds\": " << sweep[i].wall_seconds
-         << ", \"throughput_rps\": " << sweep[i].throughput_rps
-         << ", \"decision_digest\": \"" << sweep[i].digest << "\"}"
-         << (i + 1 < sweep.size() ? "," : "") << "\n";
-  }
-  json << "    ],\n"
-       << "    \"digest_invariant\": "
-       << (shard_digest_invariant ? "true" : "false") << ",\n"
-       << "    \"speedup_4x\": " << speedup_4x << ",\n"
-       << "    \"hardware_threads\": " << hardware_threads << ",\n"
-       << "    \"speedup_gate_armed\": "
-       << (speedup_gate_armed ? "true" : "false") << "\n"
-       << "  },\n"
-       << "  \"advise\": {\n"
-       << "    \"workload\": \"" << mix_config.workload << "\",\n"
-       << "    \"mix_shift\": \"" << mix_config.mix_shift << "\",\n"
-       << "    \"requests\": " << mix_stream.size() << ",\n"
-       << "    \"advise_every\": " << advised_options.advisor.advise_every
-       << ",\n"
-       << "    \"window\": " << advised_options.advisor.window << ",\n"
-       << "    \"weights\": [" << operator_weights[0] << ", "
-       << operator_weights[1] << ", " << operator_weights[2] << ", "
-       << operator_weights[3] << "],\n"
-       << "    \"risk_aversion\": " << kRiskAversion << ",\n"
-       << "    \"static_rps\": " << static_rps << ",\n"
-       << "    \"advised_rps\": " << advised_rps << ",\n"
-       << "    \"overhead_percent\": " << advise_overhead_percent << ",\n"
-       << "    \"evaluations\": " << advised.stats.advisor_evaluations
-       << ",\n"
-       << "    \"policy_switches\": " << advised.stats.policy_switches
-       << ",\n"
-       << "    \"decision_digest\": \"" << advised_digest << "\",\n"
-       << "    \"digest_reproduced\": "
-       << (advise_digest_reproduced ? "true" : "false") << ",\n"
-       << "    \"static_policy\": \"" << static_policy << "\",\n"
-       << "    \"static_score\": " << static_score << ",\n"
-       << "    \"recommended\": \"" << verdict.recommended << "\",\n"
-       << "    \"recommended_score\": " << recommended_score << ",\n"
-       << "    \"advisor_beats_static\": "
-       << (advisor_beats_static ? "true" : "false") << "\n"
-       << "  },\n"
-       << "  \"pass\": " << (pass ? "true" : "false") << "\n}\n";
+  out.dump(json);
   std::cout << "[wrote " << path << "]\n";
 
   return pass ? 0 : 1;

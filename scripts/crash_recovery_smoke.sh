@@ -8,7 +8,8 @@
 #   the digest the load generator computed on the client side.
 # Phase 2 — crash: kill -9 a journaled server mid-load, restart it, and
 #   require a non-empty digest-verified recovery (the server refuses to
-#   start on any divergence) that still serves fresh traffic cleanly.
+#   start on any divergence) that still serves fresh traffic cleanly. The
+#   one-shard journal must sit in shard-0000 beside shards.meta.
 # Phase 3 — chaos: hostile connections (disconnects, torn writes,
 #   malformed frames, slow-loris) against the recovered journal, then a
 #   clean probe stream; `loadgen --chaos` exits non-zero if the server
@@ -107,6 +108,10 @@ SERVER=""
 wait "$LOADGEN" 2>/dev/null || true # severed mid-stream; failure expected
 echo "journal segments after crash:"
 ls -l "$J2"
+# One shard journals in the sharded layout too.
+[ -f "$J2/shards.meta" ] || fail "shards.meta marker missing"
+[ -d "$J2/shard-0000" ] || fail "shard-0000 journal directory missing"
+ls -l "$J2/shard-0000"
 start_server "$J2" "$OUT/serve_crash_recovered.txt"
 replayed=$(sed -n 's/.*\[recovered \([0-9]*\) journalled.*/\1/p' \
   "$OUT/serve_crash_recovered.txt" | head -1)

@@ -67,8 +67,11 @@ AdmissionEngine::AdmissionEngine(const EngineConfig& config)
       obs::counter_or_null(config_.metrics, "serve.advisor_evaluations");
   switches_metric_ =
       obs::counter_or_null(config_.metrics, "serve.policy_switches");
-  queue_depth_metric_ =
-      obs::gauge_or_null(config_.metrics, "serve.queue_depth");
+  if (config_.shard_index >= 0) {
+    queue_depth_metric_ = obs::gauge_or_null(
+        config_.metrics,
+        "serve.shard." + std::to_string(config_.shard_index) + ".queue_depth");
+  }
   queue_wait_metric_ = obs::histogram_or_null(
       config_.metrics, "serve.queue_wait_seconds", request_time_buckets());
   batch_size_metric_ = obs::histogram_or_null(
@@ -205,6 +208,7 @@ Response AdmissionEngine::make_busy_response(const Request& request) const {
   Response response;
   response.id = request.id;
   response.status = Status::Busy;
+  response.shard = config_.shard_index;
   response.retry_after_ms = config_.retry_after_ms;
   return response;
 }
@@ -352,18 +356,23 @@ AdmissionEngine::TenantState& AdmissionEngine::state_for(std::uint64_t key) {
   if (inserted) {
     state.simulator.logger().set_level(config_.log_level);
     state.simulator.set_metrics(config_.metrics);
-    policy::PolicyContext context;
-    context.simulator = &state.simulator;
-    context.machine = config_.machine;
-    context.model = config_.model;
-    context.pricing = config_.pricing;
-    context.first_reward = config_.first_reward;
-    context.metrics = config_.metrics;
-    context.log_level = config_.log_level;
-    state.service = std::make_unique<service::ComputingService>(
-        state.simulator, service::factory_for(config_.policy), context);
+    state.service = make_service(state.simulator, config_.policy);
   }
   return state;
+}
+
+std::unique_ptr<service::ComputingService> AdmissionEngine::make_service(
+    sim::Simulator& simulator, policy::PolicyKind kind) const {
+  policy::PolicyContext context;
+  context.simulator = &simulator;
+  context.machine = config_.machine;
+  context.model = config_.model;
+  context.pricing = config_.pricing;
+  context.first_reward = config_.first_reward;
+  context.metrics = config_.metrics;
+  context.log_level = config_.log_level;
+  return std::make_unique<service::ComputingService>(
+      simulator, service::factory_for(kind), context);
 }
 
 Response AdmissionEngine::decide(const Request& request) {
@@ -490,16 +499,7 @@ void AdmissionEngine::apply_policy_switch(
   // virtual clock, event counter and job-id sequence continue, the
   // admission backlog restarts from zero (everything accepted so far has
   // been delivered at quiescence).
-  policy::PolicyContext context;
-  context.simulator = &state.simulator;
-  context.machine = config_.machine;
-  context.model = config_.model;
-  context.pricing = config_.pricing;
-  context.first_reward = config_.first_reward;
-  context.metrics = config_.metrics;
-  context.log_level = config_.log_level;
-  state.service = std::make_unique<service::ComputingService>(
-      state.simulator, service::factory_for(evaluation.to), context);
+  state.service = make_service(state.simulator, evaluation.to);
   state.accepted_work = 0.0;
 
   SwitchRecord record;
@@ -540,6 +540,8 @@ EngineStats AdmissionEngine::drain() {
   queue_.close();
   resume();  // a paused engine must still drain
   if (started_.load() && thread_.joinable()) thread_.join();
+  // Closed and consumed; a racing submit() may have stored a stale depth.
+  if (queue_depth_metric_ != nullptr) queue_depth_metric_->set(0.0);
   // Run every routing key's simulation to quiescence so accepted jobs
   // settle; the engine thread is joined, so this thread is now the (only)
   // owner of the per-key worlds.

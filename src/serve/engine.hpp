@@ -95,7 +95,8 @@ struct EngineConfig {
   obs::MetricsRegistry* metrics = nullptr;
   sim::LogLevel log_level = sim::LogLevel::Off;
   /// Which shard this engine is in a sharded deployment (-1 = unsharded).
-  /// Stamped on every response's `shard` hint; never digested.
+  /// Stamped on every response's `shard` hint (never digested) and names
+  /// the queue-depth gauge `serve.shard.<i>.queue_depth` (none at -1).
   int shard_index = -1;
   /// Online risk advisor (docs/ADVISOR.md). The observe path (rolling
   /// window + live estimators) is always on; scheduled evaluations run
@@ -157,33 +158,11 @@ struct RecoveryStats {
   std::uint64_t truncated_bytes = 0;
 };
 
-/// The surface the server front end (server.hpp) needs from a decision
-/// backend. AdmissionEngine is the single-engine implementation; the
-/// sharded router (serve/shard.hpp ShardedEngine) fans the same calls out
-/// across N engines, so the transport code is shard-agnostic.
-class EngineApi {
- public:
-  virtual ~EngineApi() = default;
-
-  /// Launches the decision thread(s). Idempotent.
-  virtual void start() = 0;
-
-  /// Enqueues a request; `completion` runs on an engine thread with the
-  /// decision. Returns false on backpressure (bounded queue full or
-  /// draining) — the caller answers `busy` itself. Thread-safe.
-  [[nodiscard]] virtual bool submit(const Request& request,
-                                    Completion completion) = 0;
-
-  /// The canonical backpressure response for `request`.
-  [[nodiscard]] virtual Response make_busy_response(
-      const Request& request) const = 0;
-
-  /// Graceful shutdown: stop accepting, answer everything queued, settle
-  /// the simulation(s), return session totals. Idempotent.
-  virtual EngineStats drain() = 0;
-};
-
-class AdmissionEngine : public EngineApi {
+/// One admission engine: a bounded queue, one decision thread and the
+/// per-key simulation worlds. The server front end (server.hpp) always
+/// talks to a ShardedEngine (serve/shard.hpp), which runs one of these per
+/// shard; a bare engine is the in-process embedding (tests, benches).
+class AdmissionEngine {
  public:
   /// Constructs the engine; when `config.journal_dir` is set, loads and
   /// replays the surviving journal first (see RecoveryStats) and opens a
@@ -199,24 +178,22 @@ class AdmissionEngine : public EngineApi {
   AdmissionEngine& operator=(const AdmissionEngine&) = delete;
 
   /// Launches the engine thread. Idempotent.
-  void start() override;
+  void start();
 
   /// Enqueues a request; `completion` runs on the engine thread with the
   /// decision. Returns false when the bounded queue is full or the engine
   /// is draining — the caller answers `busy` itself (make_busy_response
   /// builds the canonical one). Thread-safe.
-  [[nodiscard]] bool submit(const Request& request,
-                            Completion completion) override;
+  [[nodiscard]] bool submit(const Request& request, Completion completion);
 
   /// The canonical backpressure response for `request`.
-  [[nodiscard]] Response make_busy_response(
-      const Request& request) const override;
+  [[nodiscard]] Response make_busy_response(const Request& request) const;
 
   /// Graceful shutdown: stop accepting, process everything already
   /// queued (every completion fires), run the simulation to quiescence so
   /// accepted jobs settle, and return the session totals. Idempotent —
   /// later calls return the same stats.
-  EngineStats drain() override;
+  EngineStats drain();
 
   /// Test hook: while paused the engine consumes nothing from the queue
   /// (the hold gate lives inside the queue's pop, so pausing is exact
@@ -292,6 +269,9 @@ class AdmissionEngine : public EngineApi {
   void recover_from_journal();
   /// Lazily creates the isolated state for one routing key.
   [[nodiscard]] TenantState& state_for(std::uint64_t key);
+  /// A fresh ComputingService running `kind` on one key's simulator.
+  [[nodiscard]] std::unique_ptr<service::ComputingService> make_service(
+      sim::Simulator& simulator, policy::PolicyKind kind) const;
   [[nodiscard]] double risk_index(const TenantState& state,
                                   const workload::Job& job) const;
 

@@ -188,8 +188,10 @@ struct JournalLine {
   throw JournalError("unknown journal record type '" + kind + "'");
 }
 
-[[nodiscard]] std::vector<std::pair<std::uint64_t, std::string>>
-list_segments(const std::string& directory) {
+}  // namespace
+
+std::vector<std::pair<std::uint64_t, std::string>> list_segments(
+    const std::string& directory) {
   std::vector<std::pair<std::uint64_t, std::string>> segments;
   std::error_code ec;
   for (const auto& entry :
@@ -199,15 +201,13 @@ list_segments(const std::string& directory) {
     const std::uint64_t number = parse_segment_name(name);
     if (number != 0) segments.emplace_back(number, entry.path().string());
   }
-  if (ec) {
+  if (ec && ec != std::errc::no_such_file_or_directory) {
     throw JournalError("cannot scan journal directory " + directory + ": " +
                        ec.message());
   }
   std::sort(segments.begin(), segments.end());
   return segments;
 }
-
-}  // namespace
 
 const char* to_string(FsyncPolicy policy) {
   switch (policy) {
@@ -230,7 +230,6 @@ FsyncPolicy parse_fsync_policy(const std::string& name) {
 
 RecoveredJournal load_journal(const std::string& directory) {
   RecoveredJournal result;
-  if (!std::filesystem::exists(directory)) return result;
   const auto segments = list_segments(directory);
   result.segments = segments.size();
 

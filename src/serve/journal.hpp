@@ -133,6 +133,11 @@ class JournalError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// The segment files directly in `directory` as (number, path), in
+/// segment order; empty when the directory does not exist.
+[[nodiscard]] std::vector<std::pair<std::uint64_t, std::string>> list_segments(
+    const std::string& directory);
+
 /// Scans `directory` (no-op result when absent/empty), verifies segment
 /// and line digests, physically truncates a torn tail off the newest
 /// segment, and returns the surviving record stream. Throws JournalError

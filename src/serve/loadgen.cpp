@@ -12,6 +12,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <exception>
 #include <iterator>
 #include <mutex>
 #include <optional>
@@ -294,8 +295,8 @@ LatencySummary summarize_latencies(std::vector<double> ms) {
 namespace {
 
 /// One connection's client session over `requests`, tallying into the
-/// caller's report/digest/latency accumulators. The fan-out path runs one
-/// of these per connection and merges afterwards.
+/// caller's report/digest/latency accumulators. run_loadgen runs one of
+/// these per connection and merges afterwards.
 void run_session(const LoadgenConfig& config,
                  const std::vector<Request>& requests, double open_rate,
                  LoadgenReport& report, verify::UnorderedDigest& digest,
@@ -438,7 +439,7 @@ void run_session(const LoadgenConfig& config,
 }  // namespace
 
 LoadgenReport run_loadgen(const LoadgenConfig& config) {
-  const std::vector<Request> requests = make_request_stream(config);
+  std::vector<Request> requests = make_request_stream(config);
   const std::size_t fanout = std::max<std::size_t>(1, config.connections);
 
   LoadgenReport report;
@@ -446,60 +447,57 @@ LoadgenReport run_loadgen(const LoadgenConfig& config) {
   std::vector<double> latencies_ms;
   const auto wall_start = Clock::now();
 
-  if (fanout == 1) {
-    run_session(config, requests, config.rate, report, digest, latencies_ms);
-  } else {
-    // Partition by routing key with the same consistent hash the sharded
-    // server routes by: each tenant's subsequence stays in order on one
-    // connection, so per-tenant decisions — and with them the merged
-    // order-independent digest — are identical to a single-connection
-    // replay of the same stream.
-    ShardRouter router(fanout);
-    std::vector<std::vector<Request>> partitions(fanout);
-    for (const Request& request : requests) {
-      partitions[router.shard_for(routing_key(request))].push_back(request);
-    }
-    std::vector<LoadgenReport> reports(fanout);
-    std::vector<verify::UnorderedDigest> digests(fanout);
-    std::vector<std::vector<double>> latencies(fanout);
-    std::vector<std::string> failures(fanout);
-    const double per_connection_rate =
-        config.rate / static_cast<double>(fanout);
-    std::vector<std::thread> clients;
-    clients.reserve(fanout);
-    for (std::size_t i = 0; i < fanout; ++i) {
-      clients.emplace_back([&, i] {
-        try {
-          run_session(config, partitions[i], per_connection_rate, reports[i],
-                      digests[i], latencies[i]);
-        } catch (const std::exception& e) {
-          failures[i] = e.what();
-        }
-      });
-    }
-    for (std::thread& client : clients) client.join();
-    for (const std::string& failure : failures) {
-      if (!failure.empty()) throw std::runtime_error(failure);
-    }
-    for (std::size_t i = 0; i < fanout; ++i) {
-      const LoadgenReport& part = reports[i];
-      report.sent += part.sent;
-      report.responses += part.responses;
-      report.accepted += part.accepted;
-      report.rejected += part.rejected;
-      report.busy += part.busy;
-      report.busy_retried += part.busy_retried;
-      report.hinted_retries += part.hinted_retries;
-      report.shed += part.shed;
-      report.errors += part.errors;
-      report.dropped += part.dropped;
-      report.read_timeouts += part.read_timeouts;
-      report.read_eofs += part.read_eofs;
-      report.read_errors += part.read_errors;
-      digest.merge(digests[i]);
-      latencies_ms.insert(latencies_ms.end(), latencies[i].begin(),
-                          latencies[i].end());
-    }
+  // Partition by routing key with the same consistent hash the sharded
+  // server routes by: each tenant's subsequence stays in order on one
+  // connection, so per-tenant decisions — and with them the merged
+  // order-independent digest — are identical to a single-connection
+  // replay of the same stream.
+  ShardRouter router(fanout);
+  std::vector<std::vector<Request>> partitions(fanout);
+  for (Request& request : requests) {
+    partitions[router.shard_for(routing_key(request))].push_back(
+        std::move(request));
+  }
+  std::vector<LoadgenReport> reports(fanout);
+  std::vector<verify::UnorderedDigest> digests(fanout);
+  std::vector<std::vector<double>> latencies(fanout);
+  std::vector<std::exception_ptr> failures(fanout);
+  const double per_connection_rate =
+      config.rate / static_cast<double>(fanout);
+  std::vector<std::thread> clients;
+  clients.reserve(fanout);
+  for (std::size_t i = 0; i < fanout; ++i) {
+    clients.emplace_back([&, i] {
+      try {
+        run_session(config, partitions[i], per_connection_rate, reports[i],
+                    digests[i], latencies[i]);
+      } catch (...) {
+        failures[i] = std::current_exception();
+      }
+    });
+  }
+  for (std::thread& client : clients) client.join();
+  for (const std::exception_ptr& failure : failures) {
+    if (failure) std::rethrow_exception(failure);
+  }
+  for (std::size_t i = 0; i < fanout; ++i) {
+    const LoadgenReport& part = reports[i];
+    report.sent += part.sent;
+    report.responses += part.responses;
+    report.accepted += part.accepted;
+    report.rejected += part.rejected;
+    report.busy += part.busy;
+    report.busy_retried += part.busy_retried;
+    report.hinted_retries += part.hinted_retries;
+    report.shed += part.shed;
+    report.errors += part.errors;
+    report.dropped += part.dropped;
+    report.read_timeouts += part.read_timeouts;
+    report.read_eofs += part.read_eofs;
+    report.read_errors += part.read_errors;
+    digest.merge(digests[i]);
+    latencies_ms.insert(latencies_ms.end(), latencies[i].begin(),
+                        latencies[i].end());
   }
 
   report.wall_seconds = seconds_between(wall_start, Clock::now());

@@ -123,7 +123,7 @@ struct Server::Connection {
   }
 };
 
-Server::Server(const ServerConfig& config, EngineApi& engine)
+Server::Server(const ServerConfig& config, ShardedEngine& engine)
     : config_(config), engine_(engine), io_pool_(config.io_threads) {}
 
 Server::~Server() { stop_and_drain(); }
@@ -362,7 +362,7 @@ ServerStats Server::stats() const {
   return stats;
 }
 
-ServerStats Server::run_stdio(EngineApi& engine, std::istream& in,
+ServerStats Server::run_stdio(ShardedEngine& engine, std::istream& in,
                               std::ostream& out,
                               std::size_t max_line_bytes) {
   ServerStats stats;

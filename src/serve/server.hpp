@@ -2,7 +2,7 @@
 //
 // Accepts newline-delimited-JSON admission requests over a Unix-domain or
 // TCP-loopback socket (plus an in-process stdio mode for tests and
-// pipelines) and feeds them to the AdmissionEngine's bounded queue:
+// pipelines) and feeds them to the ShardedEngine's bounded queues:
 //
 //   acceptor thread --> reader tasks (exp::ThreadPool) --> bounded queue
 //        |                    |                                 |
@@ -30,7 +30,7 @@
 #include <vector>
 
 #include "exp/parallel.hpp"
-#include "serve/engine.hpp"
+#include "serve/shard.hpp"
 
 namespace utilrisk::serve {
 
@@ -68,10 +68,10 @@ struct ServerStats {
 
 class Server {
  public:
-  /// The engine (single AdmissionEngine or a ShardedEngine fan-out —
-  /// any EngineApi) must outlive the server and must be start()ed by the
-  /// caller (the server never owns the decision lifecycle).
-  Server(const ServerConfig& config, EngineApi& engine);
+  /// The engine (one shard or many) must outlive the server and must be
+  /// start()ed by the caller (the server never owns the decision
+  /// lifecycle).
+  Server(const ServerConfig& config, ShardedEngine& engine);
   /// Joins everything; calls stop_and_drain() if the caller did not.
   ~Server();
 
@@ -100,7 +100,7 @@ class Server {
   /// `out`, then drains the engine. Single-threaded reads; completions
   /// still arrive from the engine thread (writes are mutexed). Returns
   /// the transport stats of the session.
-  static ServerStats run_stdio(EngineApi& engine, std::istream& in,
+  static ServerStats run_stdio(ShardedEngine& engine, std::istream& in,
                                std::ostream& out,
                                std::size_t max_line_bytes = kMaxRequestBytes);
 
@@ -114,7 +114,7 @@ class Server {
                    std::string line);
 
   ServerConfig config_;
-  EngineApi& engine_;
+  ShardedEngine& engine_;
   exp::ThreadPool io_pool_;
   std::atomic<bool> stop_requested_{false};
   std::atomic<bool> drained_{false};

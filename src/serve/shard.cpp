@@ -1,5 +1,8 @@
 #include "serve/shard.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
@@ -27,6 +30,14 @@ namespace {
   return buf;
 }
 
+/// fsyncs a file, or with O_DIRECTORY the entries of a directory.
+void fsync_path(const std::filesystem::path& path, int flags = 0) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC | flags);
+  const bool synced = fd >= 0 && ::fsync(fd) == 0;
+  if (fd >= 0) ::close(fd);
+  if (!synced) throw JournalError("cannot fsync " + path.string());
+}
+
 }  // namespace
 
 ShardRouter::ShardRouter(std::size_t shard_count)
@@ -45,7 +56,6 @@ ShardRouter::ShardRouter(std::size_t shard_count)
 }
 
 std::size_t ShardRouter::shard_for(std::uint64_t routing_key) const {
-  if (shard_count_ == 1) return 0;
   const std::uint64_t point = mix64(routing_key);
   // First ring position at or after the key's point, wrapping past the
   // top of the ring back to the first entry.
@@ -57,11 +67,7 @@ std::size_t ShardRouter::shard_for(std::uint64_t routing_key) const {
 }
 
 std::string shard_journal_dir(const std::string& root,
-                              std::size_t shard_index,
-                              std::size_t shard_count) {
-  // --shards 1 keeps the legacy flat layout so pre-shard journals recover
-  // without a migration.
-  if (shard_count <= 1) return root;
+                              std::size_t shard_index) {
   return (std::filesystem::path(root) / ("shard-" + four_digit(shard_index)))
       .string();
 }
@@ -71,7 +77,8 @@ void check_shard_journal_layout(const std::string& root,
   namespace fs = std::filesystem;
   const fs::path meta_path = fs::path(root) / "shards.meta";
   std::error_code ec;
-  if (fs::exists(meta_path, ec)) {
+  const bool marked = fs::exists(meta_path, ec);
+  if (marked) {
     std::ifstream in(meta_path);
     std::size_t recorded = 0;
     std::string label;
@@ -87,28 +94,48 @@ void check_shard_journal_layout(const std::string& root,
           "change their simulation state; recover with the original shard " +
           "count or point --journal at a fresh directory");
     }
-    return;
   }
-  // No marker: a legacy (pre-shard) flat journal may still be present.
-  // Reopening it sharded would split its request stream across engines.
-  if (shard_count > 1 && fs::exists(root, ec)) {
-    for (const auto& entry : fs::directory_iterator(root, ec)) {
-      const std::string name = entry.path().filename().string();
-      if (name.starts_with("journal-") && name.ends_with(".ndjson")) {
-        throw JournalError(
-            "journal " + root +
-            " holds a flat single-shard segment layout; refusing to reopen "
-            "it with --shards " +
-            std::to_string(shard_count));
-      }
+  // Root segments (a flat journal, or a migration a crash cut short) and an
+  // unmarked shard-0000 holding segments (a migration cut short after its
+  // last rename) are one shard's history: split, they re-route its tenants.
+  const fs::path shard0 = shard_journal_dir(root, 0);
+  const auto flat = list_segments(root);
+  const bool migrating =
+      !flat.empty() || (!marked && !list_segments(shard0.string()).empty());
+  if (migrating && shard_count != 1) {
+    throw JournalError("journal " + root +
+                       " holds a flat single-shard segment layout; refusing "
+                       "to reopen it with --shards " +
+                       std::to_string(shard_count));
+  }
+  if (flat.empty() && marked) return;
+  // Segment numbers are unique, so a half-done migration resumes without
+  // collisions; a collision means two histories and is refused.
+  fs::create_directories(shard0, ec);
+  for (const auto& [number, path] : flat) {
+    const fs::path segment(path);
+    const fs::path target = shard0 / segment.filename();
+    if (!fs::exists(target, ec)) fs::rename(segment, target, ec);
+    if (fs::exists(segment, ec)) {
+      throw JournalError("cannot migrate flat journal segment " +
+                         segment.string() + " to " + target.string());
     }
   }
-  fs::create_directories(root, ec);
-  std::ofstream out(meta_path, std::ios::trunc);
+  fsync_path(shard0, O_DIRECTORY);
+  fsync_path(root, O_DIRECTORY);
+  // The marker lands last and atomically: it records a finished layout.
+  const fs::path temp_path = fs::path(root) / "shards.meta.tmp";
+  std::ofstream out(temp_path, std::ios::trunc);
   out << "shards " << shard_count << '\n';
-  if (!out) {
+  out.close();
+  if (out) {
+    fsync_path(temp_path);
+    fs::rename(temp_path, meta_path, ec);
+  }
+  if (!out || ec) {
     throw JournalError("cannot write shard marker " + meta_path.string());
   }
+  fsync_path(root, O_DIRECTORY);
 }
 
 ShardedEngine::ShardedEngine(const ShardedEngineConfig& config)
@@ -119,20 +146,17 @@ ShardedEngine::ShardedEngine(const ShardedEngineConfig& config)
   }
   engines_.reserve(count);
   routed_metrics_.reserve(count);
-  depth_metrics_.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     EngineConfig engine_config = config.engine;
     engine_config.shard_index = static_cast<int>(i);
     if (!engine_config.journal_dir.empty()) {
       engine_config.journal_dir =
-          shard_journal_dir(config.engine.journal_dir, i, count);
+          shard_journal_dir(config.engine.journal_dir, i);
     }
     engines_.push_back(std::make_unique<AdmissionEngine>(engine_config));
-    const std::string prefix = "serve.shard." + std::to_string(i);
-    routed_metrics_.push_back(
-        obs::counter_or_null(config.engine.metrics, prefix + ".routed"));
-    depth_metrics_.push_back(
-        obs::gauge_or_null(config.engine.metrics, prefix + ".queue_depth"));
+    routed_metrics_.push_back(obs::counter_or_null(
+        config.engine.metrics,
+        "serve.shard." + std::to_string(i) + ".routed"));
   }
   if (auto* shards_gauge =
           obs::gauge_or_null(config.engine.metrics, "serve.shards")) {
@@ -146,26 +170,19 @@ void ShardedEngine::start() {
 
 bool ShardedEngine::submit(const Request& request, Completion completion) {
   const std::size_t index = router_.shard_for(routing_key(request));
-  AdmissionEngine& engine = *engines_[index];
-  const bool queued = engine.submit(request, std::move(completion));
+  const bool queued = engines_[index]->submit(request, std::move(completion));
   if (queued && routed_metrics_[index] != nullptr) {
     routed_metrics_[index]->inc();
-  }
-  if (depth_metrics_[index] != nullptr) {
-    depth_metrics_[index]->set(static_cast<double>(engine.queue_depth()));
   }
   return queued;
 }
 
 Response ShardedEngine::make_busy_response(const Request& request) const {
-  const std::size_t index = router_.shard_for(routing_key(request));
-  Response response = engines_[index]->make_busy_response(request);
-  response.shard = static_cast<int>(index);
-  return response;
+  return engines_[router_.shard_for(routing_key(request))]
+      ->make_busy_response(request);
 }
 
 EngineStats ShardedEngine::drain() {
-  if (drained_) return merged_;
   shard_stats_.clear();
   shard_stats_.reserve(engines_.size());
   for (const auto& engine : engines_) {
@@ -190,9 +207,7 @@ EngineStats ShardedEngine::drain() {
     merged.digest.merge(stats.digest);
   }
   merged.decision_digest = verify::to_hex(merged.digest.value());
-  merged_ = merged;
-  drained_ = true;
-  return merged_;
+  return merged;
 }
 
 RecoveryStats ShardedEngine::recovery() const {

@@ -18,11 +18,11 @@
 // digest, which is how the golden/replay harness keeps gating the sharded
 // server (docs/SERVING.md, docs/DETERMINISM.md).
 //
-// Journals: shard i appends under `<journal_dir>/shard-000i` (`--shards 1`
-// keeps the legacy flat layout, so pre-shard journals recover unchanged).
-// A `shards.meta` marker records the shard count; recovery with a
-// different `--shards` refuses to start instead of silently re-routing
-// journalled tenants onto different simulation states.
+// Journals: at every shard count shard i appends under
+// `<journal_dir>/shard-NNNN` beside a `shards.meta` marker; recovery with
+// a different `--shards` refuses to start instead of silently re-routing
+// journalled tenants onto different simulation states. A flat journal
+// (segments at the root) is moved into `shard-0000` once at `--shards 1`.
 #pragma once
 
 #include <cstdint>
@@ -62,23 +62,23 @@ struct ShardedEngineConfig {
   std::size_t shards = 1;
 };
 
-/// N engines behind the router, presenting the single-engine surface
-/// (EngineApi) to the server front end. Construction recovers every
-/// shard's journal (digest-verified, like the single engine) and refuses
-/// on a shard-count mismatch with the journal's `shards.meta`.
-class ShardedEngine : public EngineApi {
+/// N engines behind the router — what the server front end serves from,
+/// `--shards 1` included. Construction settles the journal layout
+/// (check_shard_journal_layout), then recovers every shard's journal
+/// (digest-verified, like the single engine).
+class ShardedEngine {
  public:
   explicit ShardedEngine(const ShardedEngineConfig& config);
 
-  void start() override;
-  [[nodiscard]] bool submit(const Request& request,
-                            Completion completion) override;
-  [[nodiscard]] Response make_busy_response(
-      const Request& request) const override;
+  /// start/submit/make_busy_response as AdmissionEngine's, routed to the
+  /// request's shard.
+  void start();
+  [[nodiscard]] bool submit(const Request& request, Completion completion);
+  [[nodiscard]] Response make_busy_response(const Request& request) const;
   /// Drains every shard and merges: counters sum, virtual end time is the
   /// max, and the session decision digest is the order-independent merge
-  /// of the per-shard digests.
-  EngineStats drain() override;
+  /// of the per-shard digests. Idempotent, as every shard's drain is.
+  EngineStats drain();
 
   [[nodiscard]] std::size_t shard_count() const { return engines_.size(); }
   [[nodiscard]] AdmissionEngine& shard(std::size_t index) {
@@ -102,25 +102,23 @@ class ShardedEngine : public EngineApi {
   ShardRouter router_;
   std::vector<std::unique_ptr<AdmissionEngine>> engines_;
   std::vector<EngineStats> shard_stats_;
-  EngineStats merged_;
-  bool drained_ = false;
 
-  // serve.shard.* instruments (null when metrics are absent/disabled).
+  // serve.shard.<i>.routed counters (null when metrics are absent or
+  // disabled); each shard's engine owns its own queue-depth gauge.
   std::vector<obs::Counter*> routed_metrics_;
-  std::vector<obs::Gauge*> depth_metrics_;
 };
 
-/// The root-directory journal layout knobs shared by writer and guard.
+/// Shard `shard_index`'s journal directory under `root`: `shard-NNNN`.
 [[nodiscard]] std::string shard_journal_dir(const std::string& root,
-                                            std::size_t shard_index,
-                                            std::size_t shard_count);
+                                            std::size_t shard_index);
 
-/// Validates `root` against `shards.meta` (writing it when absent) and
-/// against the physical layout: a flat legacy journal cannot be reopened
-/// sharded, nor a sharded one flat or with a different count. Throws
-/// JournalError on mismatch — re-routing journalled tenants onto
-/// different shards would silently change their simulation state, the
-/// exact cache-collision class PR 4 fixed for `--fail-*` sweep keys.
+/// Validates `root` against `shards.meta` and the physical layout, then
+/// writes the marker durably. Segments at the root (a flat journal, or a
+/// migration a crash interrupted) are renamed into `shard-0000` at one
+/// shard. Throws JournalError on a count mismatch, or at N > 1 shards on
+/// a flat journal or an unmarked `shard-0000` that holds segments (a
+/// migration cut short before its marker): re-routing journalled tenants
+/// onto different shards would silently change their simulation state.
 void check_shard_journal_layout(const std::string& root,
                                 std::size_t shard_count);
 

@@ -22,6 +22,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "serve/bounded_queue.hpp"
 #include "serve/engine.hpp"
 #include "serve/journal.hpp"
@@ -306,8 +307,7 @@ TEST(AdmissionEngineTest, QueueFullYieldsBusyAndDrainAnswersEverything) {
 // ------------------------------------------------------------- stdio server
 
 TEST(StdioServerTest, AnswersEveryLineAndCountsFailures) {
-  EngineConfig config;
-  AdmissionEngine engine(config);
+  ShardedEngine engine(ShardedEngineConfig{});
   engine.start();
 
   std::string oversized(300, 'x');
@@ -342,8 +342,7 @@ TEST(StdioServerTest, AnswersEveryLineAndCountsFailures) {
 // ------------------------------------------------------------ socket server
 
 TEST(SocketServerTest, ClosedLoopRunMatchesServerDigest) {
-  EngineConfig engine_config;
-  AdmissionEngine engine(engine_config);
+  ShardedEngine engine(ShardedEngineConfig{});
   engine.start();
 
   ServerConfig server_config;
@@ -369,11 +368,11 @@ TEST(SocketServerTest, ClosedLoopRunMatchesServerDigest) {
 }
 
 TEST(SocketServerTest, OverloadSeesBusyBackpressureAndStillNoDrops) {
-  EngineConfig engine_config;
-  engine_config.queue_capacity = 4;  // tiny queue: overload is certain
-  AdmissionEngine engine(engine_config);
+  ShardedEngineConfig engine_config;
+  engine_config.engine.queue_capacity = 4;  // tiny queue: overload is certain
+  ShardedEngine engine(engine_config);
   engine.start();
-  engine.pause();  // hold the engine so the queue observably fills
+  engine.shard(0).pause();  // hold the engine so the queue observably fills
 
   ServerConfig server_config;
   server_config.tcp_port = 0;
@@ -382,7 +381,7 @@ TEST(SocketServerTest, OverloadSeesBusyBackpressureAndStillNoDrops) {
 
   std::thread resumer([&engine] {
     std::this_thread::sleep_for(std::chrono::milliseconds(300));
-    engine.resume();
+    engine.shard(0).resume();
   });
 
   LoadgenConfig load;
@@ -472,8 +471,7 @@ TEST(ProtocolTest, HostileCorpusNeverEscapesProtocolError) {
 }
 
 TEST(StdioServerTest, HostileLinesGetErrorResponsesAndServerSurvives) {
-  EngineConfig config;
-  AdmissionEngine engine(config);
+  ShardedEngine engine(ShardedEngineConfig{});
   engine.start();
 
   // The once-fatal non-string urgency, raw bytes, deep nesting — then a
@@ -798,8 +796,7 @@ TEST(AdmissionEngineTest, BrownoutFastFailsAboveWatermark) {
 // ------------------------------------------------------- slow-client defense
 
 TEST(SocketServerTest, SlowClientIsDisconnectedAndServerStaysHealthy) {
-  EngineConfig engine_config;
-  AdmissionEngine engine(engine_config);
+  ShardedEngine engine(ShardedEngineConfig{});
   engine.start();
 
   const std::string socket_path = fresh_dir("slow_client") + ".sock";
@@ -900,11 +897,11 @@ TEST(BoundedQueueTest, ConcurrentProducersRacingCloseLoseNothing) {
 }
 
 TEST(SocketServerTest, StopAndDrainAnswersQueuedRequests) {
-  EngineConfig engine_config;
-  engine_config.queue_capacity = 64;
-  AdmissionEngine engine(engine_config);
+  ShardedEngineConfig engine_config;
+  engine_config.engine.queue_capacity = 64;
+  ShardedEngine engine(engine_config);
   engine.start();
-  engine.pause();
+  engine.shard(0).pause();
 
   ServerConfig server_config;
   server_config.tcp_port = 0;
@@ -921,7 +918,7 @@ TEST(SocketServerTest, StopAndDrainAnswersQueuedRequests) {
 
   std::thread drainer([&engine, &server] {
     // Wait for the queue to hold everything the client sent.
-    while (engine.queue_depth() < 16) {
+    while (engine.shard(0).queue_depth() < 16) {
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
     (void)server.stop_and_drain();
@@ -1172,39 +1169,192 @@ TEST(ShardedEngineTest, RefusesShardCountMismatchOnRecovery) {
   EXPECT_THROW((void)ShardedEngine(wrong), JournalError);
 }
 
-TEST(ShardedEngineTest, RefusesToShardAFlatLegacyJournal) {
-  const std::string dir = fresh_dir("sharded_legacy");
+/// Writes a flat journal of `requests` decisions the way a bare engine
+/// does (segments straight under `dir`, small segments so there are
+/// several to migrate) and returns its decision digest.
+std::string write_flat_journal(const EngineConfig& flat,
+                               std::uint64_t requests) {
+  AdmissionEngine engine(flat);
+  engine.start();
+  for (std::uint64_t id = 1; id <= requests; ++id) {
+    while (!engine.submit(make_request(id, 10.0 * static_cast<double>(id)),
+                          [](const Response&) {})) {
+      std::this_thread::yield();
+    }
+  }
+  return engine.drain().decision_digest;
+}
+
+/// Sorted segment file names directly under `dir`.
+std::vector<std::string> segment_names(const std::filesystem::path& dir) {
+  std::vector<std::string> names;
+  std::error_code ec;
+  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
+    const std::string name = entry.path().filename().string();
+    if (name.starts_with("journal-") && name.ends_with(".ndjson")) {
+      names.push_back(name);
+    }
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+EngineConfig flat_journal_config(const std::string& dir) {
   EngineConfig flat;
   flat.journal_dir = dir;
   flat.fsync = FsyncPolicy::None;
-  {
-    AdmissionEngine engine(flat);
-    engine.start();
-    while (!engine.submit(make_request(1, 0.0), [](const Response&) {})) {
-      std::this_thread::yield();
-    }
-    (void)engine.drain();
-  }
+  flat.journal_segment_records = 4;
+  return flat;
+}
+
+TEST(ShardedEngineTest, RefusesToShardAFlatLegacyJournal) {
+  namespace fs = std::filesystem;
+  const std::string dir = fresh_dir("sharded_legacy");
+  const EngineConfig flat = flat_journal_config(dir);
+  const std::string flat_digest = write_flat_journal(flat, 12);
+  const std::vector<std::string> flat_segments = segment_names(dir);
+  ASSERT_GT(flat_segments.size(), 1u) << "several segments to migrate";
+
   ShardedEngineConfig sharded;
   sharded.engine = flat;
   sharded.shards = 4;
   EXPECT_THROW((void)ShardedEngine(sharded), JournalError)
       << "a flat pre-shard journal cannot be reopened sharded";
-  // But shards=1 keeps the legacy layout and recovers it unchanged.
+  EXPECT_EQ(segment_names(dir), flat_segments) << "a refusal moves nothing";
+  EXPECT_FALSE(fs::exists(fs::path(dir) / "shards.meta"));
+
+  // One shard moves the flat journal into shard-0000 once and recovers it
+  // unchanged; a second restart recovers the migrated layout identically.
   ShardedEngineConfig compatible;
   compatible.engine = flat;
   compatible.shards = 1;
-  ShardedEngine engine(compatible);
-  EXPECT_EQ(engine.recovery().replayed, 1u);
+  for (int restart = 0; restart < 2; ++restart) {
+    SCOPED_TRACE(restart);
+    ShardedEngine engine(compatible);
+    EXPECT_EQ(engine.recovery().replayed, 12u);
+    EXPECT_EQ(engine.recovery().replayed_digest, flat_digest);
+    EXPECT_TRUE(segment_names(dir).empty()) << "no segment left at the root";
+    const std::vector<std::string> moved =
+        segment_names(fs::path(dir) / "shard-0000");
+    for (const std::string& name : flat_segments) {
+      EXPECT_TRUE(std::binary_search(moved.begin(), moved.end(), name))
+          << name << " was not moved into shard-0000";
+    }
+    EXPECT_TRUE(fs::exists(fs::path(dir) / "shards.meta"));
+    EXPECT_EQ(engine.drain().decision_digest, flat_digest);
+  }
+}
+
+TEST(ShardedEngineTest, OneShardFinishesAnInterruptedFlatMigration) {
+  namespace fs = std::filesystem;
+  // Without a marker (a bare engine's journal) and with the `shards 1`
+  // marker an older one-shard server wrote beside its flat segments.
+  for (const bool marked : {false, true}) {
+    SCOPED_TRACE(marked ? "marked" : "unmarked");
+    const std::string dir =
+        fresh_dir(marked ? "migrate_marked" : "migrate_unmarked");
+    const EngineConfig flat = flat_journal_config(dir);
+    const std::string flat_digest = write_flat_journal(flat, 12);
+    const std::vector<std::string> segments = segment_names(dir);
+    ASSERT_GT(segments.size(), 2u);
+    if (marked) std::ofstream(fs::path(dir) / "shards.meta") << "shards 1\n";
+
+    // A crash after the first rename: the segment is in shard-0000 and
+    // the rest are still at the root. A copy left at the root as well
+    // would be two histories under one name, which must be refused.
+    const fs::path shard0 = fs::path(dir) / "shard-0000";
+    fs::create_directories(shard0);
+    fs::copy_file(fs::path(dir) / segments[0], shard0 / segments[0]);
+    ShardedEngineConfig config;
+    config.engine = flat;
+    config.shards = 1;
+    EXPECT_THROW((void)ShardedEngine(config), JournalError)
+        << "a segment at both places is a collision";
+    fs::remove(fs::path(dir) / segments[0]);
+
+    ShardedEngine engine(config);
+    EXPECT_EQ(engine.recovery().replayed, 12u);
+    EXPECT_EQ(engine.recovery().replayed_digest, flat_digest);
+    EXPECT_TRUE(segment_names(dir).empty());
+    EXPECT_TRUE(fs::exists(fs::path(dir) / "shards.meta"));
+    EXPECT_EQ(engine.drain().decision_digest, flat_digest);
+  }
+
+  // A crash after the last rename but before the marker: every segment is
+  // in shard-0000, nothing at the root, no marker. Only one shard may take
+  // that history over; any other count would re-route its tenants.
+  const std::string dir = fresh_dir("migrate_all_moved");
+  const EngineConfig flat = flat_journal_config(dir);
+  const std::string flat_digest = write_flat_journal(flat, 12);
+  const fs::path shard0 = fs::path(dir) / "shard-0000";
+  fs::create_directories(shard0);
+  for (const std::string& name : segment_names(dir)) {
+    fs::rename(fs::path(dir) / name, shard0 / name);
+  }
+  ShardedEngineConfig config;
+  config.engine = flat;
+  config.shards = 4;
+  EXPECT_THROW((void)ShardedEngine(config), JournalError)
+      << "an unmarked shard-0000 history cannot be reopened sharded";
+  EXPECT_FALSE(fs::exists(fs::path(dir) / "shards.meta"));
+  config.shards = 1;
+  ShardedEngine engine(config);
+  EXPECT_EQ(engine.recovery().replayed, 12u);
+  EXPECT_EQ(engine.recovery().replayed_digest, flat_digest);
+  EXPECT_TRUE(fs::exists(fs::path(dir) / "shards.meta"));
+  EXPECT_EQ(engine.drain().decision_digest, flat_digest);
+}
+
+TEST(ShardedEngineTest, QueueDepthGaugePerShardTracksPushAndPop) {
+  obs::MetricsRegistry registry;
+  ShardedEngineConfig config;
+  config.engine.metrics = &registry;
+  config.shards = 2;
+  ShardedEngine engine(config);
+  engine.start();
+  engine.shard(0).pause();
+  engine.shard(1).pause();
+
+  // Three requests to shard 0 and two to shard 1, picked by routing key.
+  const std::size_t wanted[2] = {3, 2};
+  std::size_t queued[2] = {0, 0};
+  for (std::uint64_t tenant = 1;
+       queued[0] < wanted[0] || queued[1] < wanted[1]; ++tenant) {
+    Request request = make_request(tenant, 0.0);
+    request.tenant = tenant;
+    const std::size_t shard = engine.router().shard_for(routing_key(request));
+    if (queued[shard] == wanted[shard]) continue;
+    ASSERT_TRUE(engine.submit(request, [](const Response&) {}));
+    ++queued[shard];
+  }
+  const auto depth_gauge = [&registry](std::size_t shard) {
+    return registry
+        .gauge("serve.shard." + std::to_string(shard) + ".queue_depth")
+        .value();
+  };
+  for (std::size_t shard = 0; shard < 2; ++shard) {
+    EXPECT_EQ(engine.shard(shard).queue_depth(), wanted[shard]);
+    EXPECT_EQ(depth_gauge(shard),
+              static_cast<double>(engine.shard(shard).queue_depth()));
+  }
+  for (const auto& [name, value] : registry.snapshot().gauges) {
+    EXPECT_NE(name, "serve.queue_depth") << "no depth gauge is shared";
+  }
+
+  engine.shard(0).resume();
+  engine.shard(1).resume();
+  (void)engine.drain();
+  EXPECT_EQ(depth_gauge(0), 0.0);
+  EXPECT_EQ(depth_gauge(1), 0.0);
 }
 
 TEST(LoadgenTest, BusyRetryHonorsServerHint) {
-  EngineConfig engine_config;
-  engine_config.queue_capacity = 2;
-  engine_config.retry_after_ms = 10.0;
-  AdmissionEngine engine(engine_config);
+  ShardedEngineConfig engine_config;
+  engine_config.engine.queue_capacity = 2;
+  engine_config.engine.retry_after_ms = 10.0;
+  ShardedEngine engine(engine_config);
   engine.start();
-  engine.pause();
+  engine.shard(0).pause();
   // Fill the queue while paused so the client's first request is
   // guaranteed a `busy` with the retry hint.
   for (std::uint64_t id = 1000; id < 1002; ++id) {
@@ -1218,7 +1368,7 @@ TEST(LoadgenTest, BusyRetryHonorsServerHint) {
 
   std::thread resumer([&engine] {
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    engine.resume();
+    engine.shard(0).resume();
   });
 
   LoadgenConfig load;

@@ -611,11 +611,12 @@ void declare_serve(cli::ArgParser& parser) {
                 "order-independent merge of the per-shard digests",
                 "1");
   parser.option("journal", "DIR",
-                "write-ahead admission journal directory (per-shard "
-                "segment subdirectories under --shards > 1); on startup "
-                "any surviving journal is replayed (deterministic crash "
-                "recovery, digest-verified) — the shard count must match "
-                "the journal's");
+                "write-ahead admission journal directory (one "
+                "shard-NNNN segment subdirectory per shard; a flat "
+                "journal is moved into shard-0000 once under --shards 1); "
+                "on startup any surviving journal is replayed "
+                "(deterministic crash recovery, digest-verified) — the "
+                "shard count must match the journal's");
   parser.option("fsync", "POLICY",
                 "journal durability: none | batch (fsync per tick) | "
                 "always (fsync per record)",
