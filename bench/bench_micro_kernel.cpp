@@ -1,6 +1,6 @@
-// Micro benchmarks of the simulator hot paths: event queue churn, the
-// time-shared proportional-share integrator, and a full small simulation
-// per policy.
+// Micro benchmarks of the simulator hot paths: event queue churn, in-place
+// re-keying, the time-shared proportional-share integrator, and a full
+// small simulation per policy.
 #include <benchmark/benchmark.h>
 
 #include <array>
@@ -34,6 +34,47 @@ void BM_EventQueuePushPop(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(n) * state.iterations());
 }
 BENCHMARK(BM_EventQueuePushPop)->Arg(1 << 10)->Arg(1 << 14);
+
+// Reschedule-heavy hold model, the time-shared executor's pattern: n live
+// events; each step moves one random live event to a new time, pops the
+// earliest and pushes its replacement, so n stays constant. The second
+// argument picks how the move is made: 1 re-keys the event in place, 0
+// cancels it and pushes a fresh one (leaving a tombstone to purge). Both
+// consume the same sequence numbers and pop in the same order.
+void BM_EventQueueRescheduleHold(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const bool in_place = state.range(1) != 0;
+  sim::EventQueue queue;
+  sim::Rng rng(5);
+  std::size_t fired = 0;
+  const auto action_for = [&fired](std::size_t i) {
+    return [&fired, i] { fired = i; };
+  };
+  std::vector<sim::EventHandle> handles(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    handles[i] = queue.push(rng.uniform(0.0, 1000.0), action_for(i));
+  }
+  double now = 0.0;
+  for (auto _ : state) {
+    const std::size_t pick = rng.uniform_int(0, n - 1);
+    const double time = now + rng.uniform(0.0, 1000.0);
+    if (in_place) {
+      queue.rekey(handles[pick], time);
+    } else {
+      handles[pick].cancel();
+      handles[pick] = queue.push(time, action_for(pick));
+    }
+    auto popped = queue.pop();
+    now = popped->time;
+    popped->action();
+    handles[fired] =
+        queue.push(now + rng.uniform(0.0, 1000.0), action_for(fired));
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.SetLabel(in_place ? "rekey" : "cancel+push");
+}
+BENCHMARK(BM_EventQueueRescheduleHold)
+    ->ArgsProduct({{1 << 10, 1 << 14}, {0, 1}});
 
 void BM_TimeSharedChurn(benchmark::State& state) {
   for (auto _ : state) {

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <functional>
 #include <set>
+#include <stdexcept>
 #include <unordered_map>
 #include <vector>
 
@@ -26,8 +27,8 @@
 
 namespace utilrisk::cluster {
 
-/// Read-only view of a task for admission logic (Libra best-fit,
-/// LibraRiskD risk projection) and tests.
+/// Read-only view of a task, integrated to "now", for admission logic
+/// (LibraRiskD's risk projection, Libra+$'s quote) and tests.
 struct TaskView {
   workload::JobId job = 0;
   double share = 0.0;
@@ -46,13 +47,6 @@ struct TaskView {
   }
 };
 
-/// Read-only per-node view, integrated up to "now".
-struct NodeView {
-  NodeId node = 0;
-  double committed_share = 0.0;
-  std::vector<TaskView> tasks;
-};
-
 /// Proportional-share executor.
 class TimeSharedCluster : public sim::Entity {
  public:
@@ -69,8 +63,31 @@ class TimeSharedCluster : public sim::Entity {
   /// shares only change at start/completion events.
   [[nodiscard]] double committed_share(NodeId node) const;
 
-  /// Integrated view of `node` at the current simulation time.
-  [[nodiscard]] NodeView node_view(NodeId node) const;
+  /// Visits each task on `node` in task order, integrated to now()
+  /// without mutating the node, until `visit(TaskView)` returns false.
+  /// Returns false iff a visit did. Template visitor, nothing allocated:
+  /// this sits on the admission hot path. Throws std::out_of_range for a
+  /// bad node id.
+  template <typename Visit>
+  bool for_each_task(NodeId node, Visit&& visit) const {
+    if (node >= nodes_.size()) {
+      throw std::out_of_range("TimeSharedCluster::for_each_task: bad node");
+    }
+    const NodeState& state = nodes_[node];
+    const double elapsed = now() - state.last_integrated;
+    for (const Task& task : state.tasks) {
+      TaskView view;
+      view.job = task.job;
+      view.share = task.share;
+      view.estimated_work = task.estimated_work;
+      const double rate =
+          state.total_share > 0.0 ? task.share / state.total_share : 0.0;
+      view.done_work = task.done + rate * elapsed;
+      view.deadline = task.deadline;
+      if (!visit(view)) return false;
+    }
+    return true;
+  }
 
   /// Starts `job` with per-node share `share` on the given distinct nodes
   /// (exactly job.procs of them). Throws std::logic_error on violated
@@ -185,11 +202,10 @@ class TimeSharedCluster : public sim::Entity {
   /// hosts no tasks).
   double remove_job_tasks(workload::JobId job,
                           const std::vector<NodeId>& hosting);
-  /// Removes/re-adds node `id`'s share-index entry keyed by its *current*
-  /// total_share; call erase before mutating the share, insert after.
-  /// Both no-op for down nodes.
-  void share_index_erase(NodeId id);
-  void share_index_insert(NodeId id);
+  /// Re-keys node `id`'s share-index entry to its current total_share:
+  /// call once after the share changes. The set node is extracted and
+  /// reinserted, so nothing is allocated. No-op for down nodes.
+  void share_index_update(NodeId id);
 
   MachineConfig machine_;
   std::vector<NodeState> nodes_;
@@ -198,11 +214,11 @@ class TimeSharedCluster : public sim::Entity {
   /// Never iterated (find/emplace/erase only), so hashed lookup is safe:
   /// no observable order depends on this container.
   std::unordered_map<workload::JobId, JobState> jobs_;
-  /// Up nodes keyed by (committed share desc, id asc); maintained around
+  /// Up nodes keyed by (committed share desc, id asc); re-keyed after
   /// every total_share mutation so best-fit selection needs no full scan.
   std::set<ShareEntry> share_index_;
-  /// Each up node's entry in share_index_, so the erase half of an update
-  /// skips the O(log n) key search (set iterators stay valid across other
+  /// Each up node's entry in share_index_, so an update extracts it
+  /// without a key search (set iterators stay valid across other
   /// inserts/erases). Valid iff the node is up.
   std::vector<std::set<ShareEntry>::iterator> share_iters_;
   /// Nodes that have ever hosted a task; the only ones that can carry a
@@ -211,6 +227,9 @@ class TimeSharedCluster : public sim::Entity {
   /// Membership mirror of ever_tasked_, so the hot start path pays the
   /// set insert only on a node's first-ever task.
   std::vector<char> ever_tasked_flag_;
+  /// handle_node_event's list of finished jobs, kept between events so a
+  /// completion allocates nothing.
+  std::vector<workload::JobId> finished_scratch_;
 };
 
 }  // namespace utilrisk::cluster

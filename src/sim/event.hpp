@@ -23,22 +23,28 @@ namespace detail {
 
 /// Heap node, owned exclusively by the queue's slab pool. Cancellation is
 /// O(1): the node is tombstoned in place and skipped when it reaches the
-/// top of the heap. Slots are recycled after pop; `generation` is bumped
-/// on every recycle so a stale EventHandle can tell its event already
-/// fired. Single-threaded by kernel contract.
+/// top of the heap. A live node knows its heap slot, so the queue can
+/// re-key it in place. Records are recycled after pop; `generation` is
+/// bumped on every recycle so a stale EventHandle can tell its event
+/// already fired. Single-threaded by kernel contract.
 struct EventRecord {
   SimTime time = 0.0;
   EventSequence seq = 0;
   EventAction action;
   bool cancelled = false;
+  /// Index of this record's entry in the queue's heap array while queued.
+  /// 32 bits keep the record at one cache line; a heap of 2^32 entries
+  /// would need hundreds of GiB of records first.
+  std::uint32_t slot = 0;
   std::uint64_t generation = 0;
 };
 
 }  // namespace detail
 
-/// Opaque handle to a scheduled event, usable to cancel it before it fires.
-/// Default-constructed handles are inert. Handles do not keep the event
-/// alive past execution; cancelling an already-fired event is a no-op.
+/// Opaque handle to a scheduled event, usable to cancel it (or, through
+/// the queue, re-key it) before it fires. Default-constructed handles are
+/// inert. Handles do not keep the event alive past execution; cancelling
+/// an already-fired event is a no-op.
 ///
 /// Validity is checked in two layers: a queue-lifetime token (so a handle
 /// outliving its queue degrades to inert instead of dangling) and the

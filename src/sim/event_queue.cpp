@@ -75,21 +75,54 @@ EventHandle EventQueue::insert(SimTime time, EventSequence seq,
   rec->cancelled = false;
   EventHandle handle{std::weak_ptr<std::size_t>(live_), rec, rec->generation};
   ++*live_;
-  ++total_pushed_;
   heap_.push_back({time, seq, rec});
   sift_up(heap_.size() - 1);
-  // Cancellation-heavy phases (time-shared reschedules) would otherwise
-  // let tombstones deepen every sift; sweep them once they dominate.
+  // Cancellation-heavy phases would otherwise let tombstones deepen every
+  // sift; sweep them once they dominate.
   if (heap_.size() > 2 * *live_ + 64) compact();
   return handle;
+}
+
+bool EventQueue::rekey(const EventHandle& handle, SimTime time) {
+  // Owner equality (no atomic lock): a handle sharing this queue's token
+  // points into this queue's slab, which is alive while `this` is.
+  if (handle.live_.owner_before(live_) || live_.owner_before(handle.live_)) {
+    return false;
+  }
+  detail::EventRecord* rec = handle.record_;
+  if (rec == nullptr || rec->generation != handle.generation_ ||
+      rec->cancelled) {
+    return false;
+  }
+  if (!std::isfinite(time)) {
+    throw std::invalid_argument("EventQueue::rekey: non-finite event time");
+  }
+  rec->time = time;
+  rec->seq = next_seq_++;
+  const std::size_t i = rec->slot;
+  assert(i < heap_.size() && heap_[i].rec == rec);
+  heap_[i].time = time;
+  heap_[i].seq = rec->seq;
+  if (i > 0 && before(heap_[i], heap_[(i - 1) / 2])) {
+    sift_up(i);
+  } else {
+    sift_down(i);
+  }
+  return true;
+}
+
+void EventQueue::remove_top() {
+  const Entry last = heap_.back();
+  heap_.pop_back();
+  if (heap_.empty()) return;
+  place(0, last);
+  sift_down(0);
 }
 
 void EventQueue::drop_dead_top() {
   while (!heap_.empty() && heap_.front().rec->cancelled) {
     detail::EventRecord* dead = heap_.front().rec;
-    std::swap(heap_.front(), heap_.back());
-    heap_.pop_back();
-    if (!heap_.empty()) sift_down(0);
+    remove_top();
     recycle(dead);
   }
 }
@@ -114,9 +147,7 @@ std::optional<PoppedEvent> EventQueue::pop() {
     return std::nullopt;
   }
   detail::EventRecord* top = heap_.front().rec;
-  std::swap(heap_.front(), heap_.back());
-  heap_.pop_back();
-  if (!heap_.empty()) sift_down(0);
+  remove_top();
   assert(!top->cancelled);
   assert(*live_ > 0);
   --*live_;
@@ -132,27 +163,36 @@ void EventQueue::clear() {
   *live_ = 0;
 }
 
+void EventQueue::place(std::size_t i, const Entry& entry) {
+  heap_[i] = entry;
+  entry.rec->slot = static_cast<std::uint32_t>(i);
+}
+
 void EventQueue::sift_up(std::size_t i) {
+  const Entry moving = heap_[i];
   while (i > 0) {
-    std::size_t parent = (i - 1) / 2;
-    if (!before(heap_[i], heap_[parent])) break;
-    std::swap(heap_[i], heap_[parent]);
+    const std::size_t parent = (i - 1) / 2;
+    if (!before(moving, heap_[parent])) break;
+    place(i, heap_[parent]);
     i = parent;
   }
+  place(i, moving);
 }
 
 void EventQueue::sift_down(std::size_t i) {
   const std::size_t n = heap_.size();
+  const Entry moving = heap_[i];
   for (;;) {
-    std::size_t left = 2 * i + 1;
-    std::size_t right = left + 1;
-    std::size_t smallest = i;
-    if (left < n && before(heap_[left], heap_[smallest])) smallest = left;
-    if (right < n && before(heap_[right], heap_[smallest])) smallest = right;
-    if (smallest == i) break;
-    std::swap(heap_[i], heap_[smallest]);
-    i = smallest;
+    const std::size_t left = 2 * i + 1;
+    if (left >= n) break;
+    const std::size_t right = left + 1;
+    const std::size_t child =
+        right < n && before(heap_[right], heap_[left]) ? right : left;
+    if (!before(heap_[child], moving)) break;
+    place(i, heap_[child]);
+    i = child;
   }
+  place(i, moving);
 }
 
 void EventQueue::compact() {
@@ -161,6 +201,7 @@ void EventQueue::compact() {
     recycle(entry.rec);
     return true;
   });
+  for (std::size_t i = 0; i < heap_.size(); ++i) place(i, heap_[i]);
   for (std::size_t i = heap_.size() / 2; i-- > 0;) sift_down(i);
 }
 

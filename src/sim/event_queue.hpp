@@ -1,7 +1,8 @@
 // Pending-event set: a binary min-heap ordered by (time, sequence) over
 // slab-pooled records. Cancellation is tombstone-based O(1); tombstones
 // are purged when they reach the top, or all at once when they outnumber
-// the live events.
+// the live events. A live event can be re-keyed in place (O(log n), no
+// tombstone): each record knows its heap slot.
 //
 // The heap stays small by construction: ComputingService::submit_all
 // streams its arrivals (one pending arrival per call, DESIGN.md §4), so
@@ -57,6 +58,15 @@ class EventQueue {
   /// had been pushed at reservation time.
   EventSequence reserve(std::size_t n);
 
+  /// Moves the pending event behind `handle` to `time` (finite) under the
+  /// next sequence number, keeping its action and leaving the handle
+  /// valid. The new key, and the sequence number consumed, are exactly
+  /// those a cancel followed by a push would give, so dispatch order is
+  /// the same, but nothing is left behind to purge. Returns false, and
+  /// consumes no sequence number, when the handle is not pending in this
+  /// queue (fired, cancelled, inert or from another queue).
+  bool rekey(const EventHandle& handle, SimTime time);
+
   /// True if no live (uncancelled) events remain.
   [[nodiscard]] bool empty() const { return *live_ == 0; }
 
@@ -73,9 +83,6 @@ class EventQueue {
   /// Drops every pending event.
   void clear();
 
-  /// Total events ever pushed (diagnostics).
-  [[nodiscard]] std::uint64_t total_pushed() const { return total_pushed_; }
-
  private:
   /// Heap slot: the (time, seq) key is copied inline so sifting compares
   /// within the contiguous array instead of chasing record pointers.
@@ -90,8 +97,14 @@ class EventQueue {
   void recycle(detail::EventRecord* rec);
   [[nodiscard]] detail::EventRecord* acquire();
   [[nodiscard]] static bool before(const Entry& a, const Entry& b);
+  /// Stores `entry` at heap index `i` and records the slot in its record.
+  void place(std::size_t i, const Entry& entry);
+  /// Sifts the entry at `i` towards the root / the leaves, moving each
+  /// displaced entry once (hole technique) and keeping slots current.
   void sift_up(std::size_t i);
   void sift_down(std::size_t i);
+  /// Removes the root entry (its record is left to the caller).
+  void remove_top();
   void drop_dead_top();
   /// Recycles every tombstone and re-heapifies (Floyd, O(n)).
   void compact();
@@ -103,7 +116,6 @@ class EventQueue {
   /// the "queue still alive" token for handles that outlive the queue.
   std::shared_ptr<std::size_t> live_;
   EventSequence next_seq_ = 0;
-  std::uint64_t total_pushed_ = 0;
 };
 
 }  // namespace utilrisk::sim

@@ -48,6 +48,12 @@ EventHandle Simulator::schedule_at(SimTime time, EventSequence seq,
   return handle;
 }
 
+bool Simulator::rekey(const EventHandle& handle, SimTime time) {
+  if (!queue_.rekey(handle, admissible(time))) return false;
+  note_scheduled();
+  return true;
+}
+
 EventHandle Simulator::schedule_in(SimTime delay, EventAction action) {
   delay = clamp_nonnegative(delay);
   if (delay < 0.0) {

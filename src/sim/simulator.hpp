@@ -68,6 +68,14 @@ class Simulator {
   /// Schedules `action` after `delay` seconds (>= 0).
   EventHandle schedule_in(SimTime delay, EventAction action);
 
+  /// Moves the pending event behind `handle` to `time` (>= now()) in
+  /// place: it keeps its action and handle and takes the next sequence
+  /// number, so it dispatches exactly where a cancel + schedule_at would
+  /// have put it, without leaving a tombstone. Counts as a scheduled
+  /// event. Returns false, consuming no sequence number, when the handle
+  /// is no longer pending (fired or cancelled).
+  bool rekey(const EventHandle& handle, SimTime time);
+
   /// Runs until the event set drains, stop() is called, or — if `horizon`
   /// is finite — the next event would fire after `horizon` (the clock is
   /// then advanced to `horizon`). Returns the number of events dispatched
@@ -99,9 +107,9 @@ class Simulator {
   [[nodiscard]] const Logger& logger() const { return logger_; }
 
   /// Attaches (or detaches, with nullptr) a metrics registry. The kernel
-  /// resolves its instruments once here — `sim.events_scheduled`,
-  /// `sim.events_dispatched`, `sim.queue_depth`, `sim.events_per_sec` —
-  /// so the per-event cost is a null check when metrics are absent or
+  /// resolves its instruments once here — `sim.events_scheduled` (pushes
+  /// and re-keys), `sim.events_dispatched`, `sim.queue_depth`,
+  /// `sim.events_per_sec` — so the per-event cost is a null check when metrics are absent or
   /// disabled. The throughput gauge is updated once per run() call (events
   /// dispatched / wall seconds); the wall clock is only read when the
   /// gauge is resolved, so un-instrumented runs never touch it.

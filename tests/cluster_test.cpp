@@ -229,20 +229,35 @@ TEST(TimeSharedTest, NodeViewIntegratesToNow) {
   sim::Simulator simk;
   TimeSharedCluster cluster(simk, {.node_count = 1});
   cluster.start(make_job(1, 1, 1000.0, 500.0), {0}, 0.5, {});
+  const auto tasks_on_node0 = [&] {
+    std::vector<TaskView> tasks;
+    EXPECT_TRUE(cluster.for_each_task(0, [&](TaskView task) {
+      tasks.push_back(task);
+      return true;
+    }));
+    return tasks;
+  };
   simk.schedule_at(300.0, [&] {
-    const NodeView view = cluster.node_view(0);
-    ASSERT_EQ(view.tasks.size(), 1u);
-    EXPECT_NEAR(view.tasks[0].done_work, 300.0, 1e-9)
+    const std::vector<TaskView> tasks = tasks_on_node0();
+    ASSERT_EQ(tasks.size(), 1u);
+    EXPECT_EQ(tasks[0].job, 1u);
+    EXPECT_NEAR(tasks[0].done_work, 300.0, 1e-9)
         << "alone on the node => rate 1";
-    EXPECT_FALSE(view.tasks[0].overran_estimate());
+    EXPECT_FALSE(tasks[0].overran_estimate());
   });
   simk.schedule_at(600.0, [&] {
-    const NodeView view = cluster.node_view(0);
-    ASSERT_EQ(view.tasks.size(), 1u);
-    EXPECT_TRUE(view.tasks[0].overran_estimate())
+    const std::vector<TaskView> tasks = tasks_on_node0();
+    ASSERT_EQ(tasks.size(), 1u);
+    EXPECT_TRUE(tasks[0].overran_estimate())
         << "600s done > 500s estimated";
+    // A visit that returns false stops the walk and is reported.
+    EXPECT_FALSE(cluster.for_each_task(0, [](TaskView) { return false; }));
   });
   simk.run();
+  EXPECT_TRUE(cluster.for_each_task(0, [](TaskView) { return false; }))
+      << "an empty node visits nothing";
+  EXPECT_THROW(cluster.for_each_task(1, [](TaskView) { return true; }),
+               std::out_of_range);
 }
 
 TEST(TimeSharedTest, BusyProcSecondsIsWorkConserving) {

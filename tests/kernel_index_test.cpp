@@ -289,17 +289,26 @@ TEST(SpaceSharedPropertyTest, IndexedMatchesNaiveReference) {
 
 // -------------------------------------- TimeSharedCluster vs naive reference
 
-TEST(TimeSharedPropertyTest, ShareIndexMatchesFullScan) {
+/// Drives a TimeSharedCluster through a seeded random mix of start,
+/// cancel, node_down, node_up and clock advances, checking after every
+/// step that the share index visits exactly the best-fit order of a full
+/// scan and that each up node with tasks has exactly one live completion.
+/// With `short_job_fraction` 0 every job stays resident and the index
+/// changes only through start/cancel/node_down/node_up; otherwise that
+/// fraction of jobs is short enough to complete while the clock advances,
+/// so outages interleave with completions.
+void expect_share_index_matches_full_scan(std::uint64_t seed,
+                                          double short_job_fraction) {
   constexpr std::uint32_t kNodes = 48;
   sim::Simulator simk;
   TimeSharedCluster cluster(simk, {.node_count = kNodes});
-  sim::Rng rng(0xCAFE);
+  sim::Rng rng(seed);
   workload::JobId next_id = 1;
   std::vector<workload::JobId> live;
+  const auto forget = [&live](workload::JobId id) {
+    live.erase(std::find(live.begin(), live.end(), id));
+  };
 
-  // Long runtimes keep every started job resident: the reference tracks
-  // share changes through start/cancel/node_down/node_up, which are the
-  // paths that maintain the share index.
   for (int step = 0; step < 1500; ++step) {
     const double roll = rng.uniform01();
     if (roll < 0.5) {
@@ -321,8 +330,12 @@ TEST(TimeSharedPropertyTest, ShareIndexMatchesFullScan) {
       for (std::uint32_t i = 0; i < procs; ++i) {
         nodes.push_back(eligible[i].second);
       }
-      workload::Job job = make_job(next_id++, procs, 1e9, 1e9);
-      cluster.start(job, nodes, share, {});
+      const bool short_job =
+          short_job_fraction > 0.0 && rng.bernoulli(short_job_fraction);
+      const double runtime = short_job ? rng.uniform(1.0, 40.0) : 1e9;
+      workload::Job job = make_job(next_id++, procs, runtime, runtime);
+      cluster.start(job, nodes, share,
+                    [&](workload::JobId id, sim::SimTime) { forget(id); });
       live.push_back(job.id);
     } else if (roll < 0.7 && !live.empty()) {
       const std::size_t pick = rng.uniform_int(0, live.size() - 1);
@@ -333,7 +346,7 @@ TEST(TimeSharedPropertyTest, ShareIndexMatchesFullScan) {
       const NodeId id = static_cast<NodeId>(rng.uniform_int(0, kNodes - 1));
       if (cluster.is_up(id)) {
         for (const FailureKill& kill : cluster.node_down(id)) {
-          live.erase(std::find(live.begin(), live.end(), kill.job.id));
+          forget(kill.job.id);
         }
       } else {
         cluster.node_up(id);
@@ -341,15 +354,23 @@ TEST(TimeSharedPropertyTest, ShareIndexMatchesFullScan) {
     } else {
       simk.run(simk.now() + rng.uniform(1.0, 50.0));
     }
+    ASSERT_EQ(cluster.running_count(), live.size()) << "step " << step;
 
     // Reference order: full scan of up nodes, sorted best-fit (committed
     // desc, id asc) — exactly what the old per-admission sort produced.
     std::vector<std::pair<double, NodeId>> reference;
+    std::size_t busy_nodes = 0;
     for (NodeId id = 0; id < kNodes; ++id) {
       if (cluster.is_up(id)) {
         reference.emplace_back(cluster.committed_share(id), id);
+        // A visit that stops at the first task reports a busy node.
+        if (!cluster.for_each_task(id, [](TaskView) { return false; })) {
+          ++busy_nodes;
+        }
       }
     }
+    ASSERT_EQ(simk.pending_events(), busy_nodes)
+        << "one live completion per busy node, step " << step;
     std::sort(reference.begin(), reference.end(),
               [](const auto& a, const auto& b) {
                 if (a.first != b.first) return a.first > b.first;
@@ -380,6 +401,14 @@ TEST(TimeSharedPropertyTest, ShareIndexMatchesFullScan) {
     }
     ASSERT_EQ(bounded, bounded_expected) << "step " << step;
   }
+}
+
+TEST(TimeSharedPropertyTest, ShareIndexMatchesFullScan) {
+  expect_share_index_matches_full_scan(0xCAFE, /*short_job_fraction=*/0.0);
+}
+
+TEST(TimeSharedPropertyTest, ShareIndexMatchesFullScanAcrossCompletions) {
+  expect_share_index_matches_full_scan(0xBEEF, /*short_job_fraction=*/0.6);
 }
 
 TEST(TimeSharedPropertyTest, RejectsDuplicateNodeIds) {

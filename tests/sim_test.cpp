@@ -224,6 +224,115 @@ TEST(EventQueueTest, ReservedSequenceOrdersAsIfPushedAtReservation) {
       << "a number past every reservation was never handed out";
 }
 
+/// Drives an EventQueue through a seeded random mix of push, cancel,
+/// re-key and pop against a std::set reference in which a re-key is an
+/// erase plus an insert under the next sequence number. Re-keys hit the
+/// head and move events to an equal, earlier or later time. Every 750
+/// operations nine events in ten are cancelled at once, so tombstones come
+/// to outnumber the live events and the next push sweeps them and rebuilds
+/// the heap: re-keys run both among tombstones and right after a rebuild.
+/// Every pop must match the reference key and run the action pushed with
+/// the event.
+void expect_rekey_matches_reference(std::uint64_t seed, int ops) {
+  using Key = std::pair<SimTime, EventSequence>;
+  EventQueue queue;
+  std::set<Key> reference;
+  std::vector<EventHandle> handles;
+  std::vector<Key> keys;  ///< current key of each handle's event
+  EventSequence next_seq = 0;
+  std::size_t fired = 0;
+  Rng rng(seed);
+  const auto random_time = [&] { return rng.uniform(0.0, 1000.0); };
+  for (int op = 0; op < ops || !queue.empty(); ++op) {
+    const double roll = op < ops ? rng.uniform01() : 1.0;
+    if (op < ops && op % 750 == 749) {
+      for (std::size_t i = 0; i < handles.size(); ++i) {
+        if (rng.bernoulli(0.9)) {
+          ASSERT_EQ(handles[i].cancel(), reference.erase(keys[i]) == 1);
+        }
+      }
+    } else if (roll < 0.45) {
+      const double t = random_time();
+      const std::size_t id = handles.size();
+      handles.push_back(queue.push(t, [&fired, id] { fired = id; }));
+      keys.emplace_back(t, next_seq++);
+      reference.insert(keys.back());
+    } else if (roll < 0.48 && !handles.empty()) {
+      const std::size_t pick = rng.uniform_int(0, handles.size() - 1);
+      ASSERT_EQ(handles[pick].cancel(), reference.erase(keys[pick]) == 1);
+    } else if (roll < 0.83 && !handles.empty()) {
+      std::size_t pick = rng.uniform_int(0, handles.size() - 1);
+      const double mode = rng.uniform01();
+      if (mode < 0.25 && !reference.empty()) {
+        pick = static_cast<std::size_t>(
+            std::find(keys.begin(), keys.end(), *reference.begin()) -
+            keys.begin());
+      }
+      double t = random_time();
+      if (mode >= 0.25 && mode < 0.45) t = keys[pick].first;
+      const bool live = reference.erase(keys[pick]) == 1;
+      ASSERT_EQ(queue.rekey(handles[pick], t), live);
+      if (live) {
+        keys[pick] = Key{t, next_seq++};
+        reference.insert(keys[pick]);
+        ASSERT_TRUE(handles[pick].pending());
+        ASSERT_DOUBLE_EQ(handles[pick].time(), t);
+      }
+    } else {
+      const auto popped = queue.pop();
+      ASSERT_EQ(popped.has_value(), !reference.empty());
+      if (popped) {
+        const Key expected = *reference.begin();
+        ASSERT_DOUBLE_EQ(popped->time, expected.first);
+        ASSERT_EQ(popped->seq, expected.second);
+        popped->action();
+        ASSERT_EQ(keys[fired], expected) << "re-keyed event kept its action";
+        reference.erase(reference.begin());
+      }
+    }
+    ASSERT_EQ(queue.size(), reference.size());
+    ASSERT_DOUBLE_EQ(queue.next_time(), reference.empty()
+                                            ? kTimeNever
+                                            : reference.begin()->first);
+  }
+  // Every sequence number went to a push or a live re-key, none to a
+  // refused re-key.
+  EXPECT_EQ(queue.reserve(0), next_seq);
+}
+
+TEST(EventQueueTest, RekeyMatchesEraseInsertReference) {
+  expect_rekey_matches_reference(/*seed=*/11, /*ops=*/6000);
+  expect_rekey_matches_reference(/*seed=*/12, /*ops=*/6000);
+}
+
+TEST(EventQueueTest, RekeyTiesOrderAfterEarlierPushes) {
+  // Re-keying to an unchanged time still takes the next sequence number:
+  // the event now fires after everything pushed before the re-key, as a
+  // cancel + push would have it.
+  EventQueue queue;
+  std::vector<int> order;
+  auto first = queue.push(5.0, [&] { order.push_back(0); });
+  queue.push(5.0, [&] { order.push_back(1); });
+  ASSERT_TRUE(queue.rekey(first, 5.0));
+  queue.push(5.0, [&] { order.push_back(2); });
+  while (auto rec = queue.pop()) rec->action();
+  EXPECT_EQ(order, (std::vector<int>{1, 0, 2}));
+}
+
+TEST(EventQueueTest, RekeyRefusesForeignAndInertHandles) {
+  EventQueue queue;
+  EventQueue other;
+  auto foreign = other.push(1.0, [] {});
+  const EventSequence next = queue.reserve(0);
+  EXPECT_FALSE(queue.rekey(EventHandle{}, 1.0));
+  EXPECT_FALSE(queue.rekey(foreign, 1.0));
+  EXPECT_EQ(queue.reserve(0), next);
+  EXPECT_DOUBLE_EQ(foreign.time(), 1.0) << "the other queue is untouched";
+  auto handle = queue.push(1.0, [] {});
+  EXPECT_THROW(queue.rekey(handle, kTimeNever), std::invalid_argument);
+  EXPECT_DOUBLE_EQ(handle.time(), 1.0);
+}
+
 // The suite keeps the name of the calendar queue the binary heap replaced;
 // the "modes" are now the heap's two insertion paths: the plain sift-up and
 // the bulk tombstone sweep that rebuilds the heap in one pass.
@@ -338,6 +447,30 @@ TEST(SimulatorTest, CancelPreventsDispatch) {
   simk.schedule_at(0.5, [&] { handle.cancel(); });
   simk.run();
   EXPECT_EQ(fired, 0);
+}
+
+TEST(SimulatorTest, RekeyMovesPendingEvent) {
+  Simulator simk;
+  std::vector<double> fired_at;
+  auto handle = simk.schedule_at(10.0, [&] { fired_at.push_back(simk.now()); });
+  simk.schedule_at(1.0, [&] { EXPECT_TRUE(simk.rekey(handle, 4.0)); });
+  simk.run();
+  EXPECT_EQ(fired_at, (std::vector<double>{4.0}));
+  EXPECT_EQ(simk.events_dispatched(), 2u) << "no event added or dropped";
+}
+
+TEST(SimulatorTest, RekeyRefusesFiredOrCancelledHandle) {
+  Simulator simk;
+  auto fired = simk.schedule_at(1.0, [] {});
+  auto cancelled = simk.schedule_at(2.0, [] {});
+  ASSERT_TRUE(cancelled.cancel());
+  simk.run();
+  const EventSequence next = simk.reserve_sequence(0);
+  EXPECT_FALSE(simk.rekey(fired, 5.0));
+  EXPECT_FALSE(simk.rekey(cancelled, 5.0));
+  EXPECT_EQ(simk.reserve_sequence(0), next)
+      << "a refused re-key consumes no sequence number";
+  EXPECT_EQ(simk.pending_events(), 0u);
 }
 
 TEST(SimulatorTest, NegativeDelaySlackSnapsToNow) {
